@@ -30,6 +30,7 @@ from .typicality import (
     _TIE_GUARD,
     EmpiricalType,
     TypicalityParams,
+    _hamming_blocks,
     apportion_counts,
     distance_threshold,
     empirical_type,
@@ -44,6 +45,21 @@ DEFAULT_PAIR_BUDGET = 8
 
 # Pairwise-distance matrices are dense; cap the word count they are built for.
 _MAX_PAIRWISE_WORDS = 2**14
+
+# The greedy scan decides candidates in blocks of at most _SCAN_ROWS, fewer
+# when a block's distances to the kept words would pass _SCAN_BYTES.
+_SCAN_ROWS = 256
+_SCAN_BYTES = 2**26
+
+# A build is refused before it allocates when its peak could pass this many
+# bytes. The words take up to 32 bytes a sampled symbol (int64, drawn into a
+# second array, then kept, spelled and stored); faithful mode adds 12 bytes a
+# sampled pair (int64 distances and the float32 agreements they come from),
+# greedy mode the scan's _SCAN_BYTES.
+_MAX_BUILD_BYTES = 2**32
+
+# Stands in for "no other word": larger than every Hamming distance.
+_FAR = np.iinfo(np.int64).max
 
 # Monte Carlo transmissions are generated this many blocks at a time. Chunked
 # generation is stream-equivalent: the concatenated chunks reproduce exactly
@@ -176,38 +192,56 @@ def drop_close_pairs(words: np.ndarray, separation: int, alphabet_size: int) -> 
     survives iff no other sampled word lies strictly inside its separation
     radius. Symmetric, order-independent, idempotent.
     """
-    m = words.shape[0]
-    if separation <= 0 or m < 2:
-        return np.ones(m, dtype=bool)
+    return _faithful_scan(words, separation, alphabet_size)[0]
+
+
+def _faithful_scan(
+    words: np.ndarray, separation: int, alphabet_size: int
+) -> tuple[np.ndarray, int | None]:
+    """The faithful keep-mask and the least distance between two kept words,
+    both from one distance matrix; the distance is None below two kept words."""
     dist = pairwise_hamming(words, alphabet_size)
-    close = dist < separation
-    np.fill_diagonal(close, False)
-    return ~close.any(axis=1)
+    np.fill_diagonal(dist, _FAR)
+    keep = dist.min(axis=1, initial=_FAR) >= separation
+    dist[~keep] = _FAR
+    least = int(dist.min(axis=0, initial=_FAR)[keep].min(initial=_FAR))
+    return keep, (None if least == _FAR else least)
 
 
 def greedy_select(words: np.ndarray, separation: int) -> np.ndarray:
     """Keep-mask of the prefix-greedy packing: scan order, keep if far from kept."""
-    m, n = words.shape
+    return _greedy_scan(words, separation)[0]
+
+
+def _greedy_scan(words: np.ndarray, separation: int) -> tuple[np.ndarray, int | None]:
+    """The greedy keep-mask and the least distance between two kept words.
+
+    Candidates are decided a block at a time: one kernel call against the
+    words kept so far and one within the block, then a pass in scan order, so
+    every decision is the one the word-by-word scan makes. Each kept pair is
+    compared once, when its later word is scanned; the least distance is None
+    when fewer than two words are kept.
+    """
+    m = words.shape[0]
     keep = np.zeros(m, dtype=bool)
-    if m == 0:
-        return keep
-    if separation <= 0:
-        keep[:] = True
-        return keep
-    kept = np.empty((m, n), dtype=np.int64)
-    count = 0
-    for i in range(m):
-        if count == 0:
-            keep[i] = True
-            kept[count] = words[i]
-            count += 1
-            continue
-        d = (kept[:count] != words[i]).sum(axis=1)
-        if int(d.min()) >= separation:
-            keep[i] = True
-            kept[count] = words[i]
-            count += 1
-    return keep
+    letters = np.unique(words)
+    kept = words[:0]
+    least = _FAR
+    start = 0
+    while start < m:
+        rows = max(1, min(_SCAN_ROWS, _SCAN_BYTES // (12 * max(1, kept.shape[0]))))
+        block = words[start:start + rows]
+        # near[i]: distance from candidate i to the closest word kept before it.
+        near = _hamming_blocks(block, kept, letters).min(axis=1, initial=_FAR)
+        inner = _hamming_blocks(block, block, letters)
+        for i in range(block.shape[0]):
+            if near[i] >= separation:
+                keep[start + i] = True
+                least = min(least, int(near[i]))
+                np.minimum(near[i + 1:], inner[i, i + 1:], out=near[i + 1:])
+        kept = np.concatenate([kept, block[keep[start:start + rows]]])
+        start += rows
+    return keep, (None if least == _FAR else least)
 
 
 def build_codebook(
@@ -233,9 +267,10 @@ def build_codebook(
     input alphabet, spelled with the representative letter of each reduced
     class, so they are valid inputs of ``channel`` itself.
 
-    Raises BudgetError when M would exceed max_words (or the pairwise stage
-    would not fit), ConstructionError when the rate precondition fails or
-    expurgation removes every word.
+    Raises BudgetError, before anything is allocated, when M would exceed
+    max_words or the build's memory could pass _MAX_BUILD_BYTES (4 GiB);
+    ConstructionError when the rate precondition fails or expurgation
+    removes every word.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -265,20 +300,26 @@ def build_codebook(
             f"word budget {max_words} exceeded: floor(2^(n*rate)) needs 2^{log2_m:.2f} words"
         )
     requested = max(1, int(math.floor(2.0**log2_m + _TIE_GUARD)))
+    need = 32 * requested * n + (12 * requested**2 if mode == "faithful" else _SCAN_BYTES)
+    if need > _MAX_BUILD_BYTES:
+        raise BudgetError(
+            f"memory budget of {_MAX_BUILD_BYTES} bytes exceeded: "
+            f"{requested} words of length {n} need up to {need} bytes"
+        )
+    if mode == "faithful" and requested > _MAX_PAIRWISE_WORDS:
+        raise BudgetError(f"pairwise budget {_MAX_PAIRWISE_WORDS} exceeded: {requested} words")
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     sampled = sample_type_class(base_reduced, requested, rng)
     separation = distance_threshold(n, epsilon)
     if mode == "faithful":
-        if requested > _MAX_PAIRWISE_WORDS:
-            raise BudgetError(
-                f"pairwise budget {_MAX_PAIRWISE_WORDS} exceeded: {requested} words"
-            )
-        keep = drop_close_pairs(sampled, separation, reduced.input_size)
+        keep, min_distance = _faithful_scan(sampled, separation, reduced.input_size)
     else:
-        keep = greedy_select(sampled, separation)
+        keep, min_distance = _greedy_scan(sampled, separation)
+    kept = int(keep.sum())
+    if kept > _MAX_PAIRWISE_WORDS:
+        min_distance = None  # reported only where validate_codebook reports it
     kept_reduced = sampled[keep]
-    kept = kept_reduced.shape[0]
 
     reps = np.asarray(rmap.representative, dtype=np.int64)
     words = reps[kept_reduced] if kept else np.empty((0, n), dtype=np.int64)
@@ -287,11 +328,6 @@ def build_codebook(
     for c, rep in enumerate(rmap.representative):
         base_counts[rep] = base_reduced.counts[c]
     base = EmpiricalType(tuple(base_counts), n)
-
-    min_distance = None
-    if 2 <= kept <= _MAX_PAIRWISE_WORDS:
-        d = pairwise_hamming(kept_reduced, reduced.input_size)
-        min_distance = int(d[np.triu_indices(kept, k=1)].min())
 
     report = ConstructionReport(
         n=n,
@@ -307,7 +343,7 @@ def build_codebook(
         dropped_words=requested - kept,
         base_counts=base.counts,
         base_entropy_bits=base_entropy,
-        mean_cost=float(channel.cost[words[0]].mean()) if kept else math.nan,
+        mean_cost=input_cost(channel, words[0]) if kept else math.nan,
         min_distance=min_distance,
         notes=channel.notes,
     )
@@ -532,26 +568,31 @@ def same_codeword_conflict(codebook: DmcCodebook, i: int, j: int, trials: int, s
     }
 
 
+def _mean_costs(channel: Dmc, words: np.ndarray) -> np.ndarray:
+    """Mean letter cost of every row; bit for bit what ``input_cost`` gives."""
+    return channel.cost[words].mean(axis=1)
+
+
 def validate_codebook(codebook: DmcCodebook) -> dict:
     """Structural checks: common type, cost feasibility, pairwise separation."""
     words = codebook.words
     m, n = words.shape
     channel = codebook.channel
+    q = channel.input_size
     same_type = True
-    ref = codebook.base or (empirical_type(words[0], channel.input_size) if m else None)
-    for k in range(m):
-        if empirical_type(words[k], channel.input_size) != ref:
-            same_type = False
-            break
-    cost_ok = all(
-        input_cost(channel, words[k]) <= channel.constraint + _TIE_GUARD for k in range(m)
-    )
+    if m:
+        ref = codebook.base or empirical_type(words[0], q)
+        rows = words + q * np.arange(m)[:, None]
+        counts = np.bincount(rows.ravel(), minlength=q * m).reshape(m, q)
+        same_type = len(ref.counts) == q and bool((counts == ref.counts).all())
+    cost_ok = bool((_mean_costs(channel, words) <= channel.constraint + _TIE_GUARD).all())
     separation = distance_threshold(n, codebook.epsilon)
     min_distance = None
     separated = True
     if 2 <= m <= _MAX_PAIRWISE_WORDS:
-        d = pairwise_hamming(words, channel.input_size)
-        min_distance = int(d[np.triu_indices(m, k=1)].min())
+        d = pairwise_hamming(words, q)
+        np.fill_diagonal(d, _FAR)
+        min_distance = int(d.min())
         separated = min_distance >= separation
     return {
         "word_count": m,

@@ -39,6 +39,11 @@ DEFAULT_ENUMERATION_BUDGET = 2**24
 # deviations are integer-valued so anything far below 0.5 is safe.
 _TIE_GUARD = 1e-9
 
+# Hamming kernel blocks: below 2**24 positions every float32 partial sum of
+# agreements is an exact integer; the one-hot blocks stay near this many bytes.
+_EXACT_FLOAT32 = 2**24
+_ONE_HOT_BYTES = 2**24
+
 
 @dataclass(frozen=True)
 class EmpiricalType:
@@ -258,21 +263,51 @@ def sample_type_class(et: EmpiricalType, count: int, rng: np.random.Generator) -
     return words
 
 
-def pairwise_hamming(words: np.ndarray, alphabet_size: int) -> np.ndarray:
-    """All pairwise Hamming distances of the rows of ``words``.
+def _one_hot(words: np.ndarray, letters: np.ndarray) -> np.ndarray:
+    """float32 indicators, one column per (position, letter)."""
+    m, n = words.shape
+    return (words[:, :, None] == letters).reshape(m, n * len(letters)).astype(np.float32)
 
-    Computed as n minus the sum of per-letter indicator Gram matrices; exact
-    because every product is a small integer. Memory is O(M^2).
+
+def _hamming_blocks(a: np.ndarray, b: np.ndarray, letters: np.ndarray) -> np.ndarray:
+    """Hamming distances between every row of ``a`` and every row of ``b``.
+
+    Letters outside ``letters`` agree with nothing. See ``pairwise_hamming``
+    for why the float32 products are exact.
+    """
+    ma, n = a.shape
+    mb = b.shape[0]
+    q = len(letters)
+    cols = max(1, min(n, _EXACT_FLOAT32 - 1, _ONE_HOT_BYTES // (4 * max(1, q * ma, q * mb))))
+    dist = np.full((ma, mb), n, dtype=np.int64)
+    for start in range(0, n, cols):
+        ha = _one_hot(a[:, start:start + cols], letters)
+        hb = ha if b is a else _one_hot(b[:, start:start + cols], letters)
+        # The agreements are exact integers, so the cast to int64 loses nothing.
+        np.subtract(dist, ha @ hb.T, out=dist, casting="unsafe")
+    return dist
+
+
+def pairwise_hamming(words: np.ndarray, alphabet_size: int) -> np.ndarray:
+    """All pairwise Hamming distances of the rows of ``words``, as int64.
+
+    The words are one-hot encoded to float32, one column per (position,
+    letter), and the agreements of every pair come out of one matrix product
+    per block of positions; the distance is n minus the agreements.
+
+    Exact: every product is 0 or 1, so every partial sum a BLAS kernel forms,
+    in whatever order, is an integer between 0 and the block's number of
+    positions. Blocks stay below 2**24 positions, and every integer up to
+    2**24 is exactly a float32; the blocks are summed in int64.
+
+    Memory: the M x M result (int64) and one float32 product, plus one-hot
+    blocks of at most about ``_ONE_HOT_BYTES`` (at least one position per
+    block): O(M^2 + M*n) in all.
     """
     w = np.asarray(words, dtype=np.int64)
     if w.ndim != 2:
         raise ValueError("words must be a 2-D array")
-    m, n = w.shape
-    agree = np.zeros((m, m), dtype=np.float64)
-    for a in range(alphabet_size):
-        ind = (w == a).astype(np.float64)
-        agree += ind @ ind.T
-    return (n - agree).astype(np.int64)
+    return _hamming_blocks(w, w, np.arange(alphabet_size))
 
 
 def _joint_counts_ok(counts: np.ndarray, targets: np.ndarray, ndelta: float) -> bool:

@@ -2,10 +2,11 @@
 
 import json
 import math
+import tracemalloc
 
 import pytest
 
-from di_codes import __version__, binary_entropy, dmc_to_dict, bsc
+from di_codes import __version__, binary_entropy, dmc_code, dmc_to_dict, bsc
 from di_codes.cli import EXIT_BUDGET, EXIT_FAILURE, EXIT_OK, main
 
 ENVELOPE_KEYS = {"tool_version", "config", "seed", "timestamp", "payload"}
@@ -164,6 +165,24 @@ def test_budget_refusal_exit_code(capsys):
                  "--epsilon", "0.0", "--delta", "0.05", "--seed", "1", "--backoff", "0.0"])
     assert code == EXIT_BUDGET
     assert "budget" in capsys.readouterr().err
+
+
+def test_memory_budget_refusal_exit_code(capsys, monkeypatch):
+    # M = 2^20 words of length 10^4 would take 84 GB as int64; refused unallocated.
+    def no_sampling(*args):
+        raise AssertionError("sampled before the budget check")
+
+    monkeypatch.setattr(dmc_code, "sample_type_class", no_sampling)
+    tracemalloc.start()
+    try:
+        code = main(["codebook-dmc", "--bsc", "0.1", "--n", "10000", "--rate", "0.002",
+                     "--epsilon", "0.0", "--delta", "0.05", "--seed", "1", "--backoff", "0.0"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_BUDGET
+    assert "memory budget" in capsys.readouterr().err
+    assert peak < 2**24
 
 
 def test_construction_failure_exit_code(capsys):

@@ -1,5 +1,7 @@
 """Codebook construction, decoding, and simulation tests."""
 
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -16,13 +18,16 @@ from di_codes import (
     codebook_from_dict,
     codebook_to_dict,
     construction_base_type,
+    di_capacity,
     identify,
     input_cost,
     same_codeword_conflict,
     simulate_errors,
+    to_dmc,
     transmit_dmc,
     validate_codebook,
 )
+from di_codes import dmc_code, typicality
 from di_codes.dmc_code import drop_close_pairs, greedy_select, select_pairs
 from di_codes.typicality import empirical_type, hamming_distance
 
@@ -88,17 +93,40 @@ def slow_greedy(words, separation):
     return keep
 
 
+def slow_min_distance(rows):
+    pairs = [(a, b) for i, a in enumerate(rows) for b in rows[i + 1:]]
+    return min((sum(x != y for x, y in zip(a, b)) for a, b in pairs), default=None)
+
+
 @given(
-    m=st.integers(1, 20),
+    m=st.integers(0, 20),
     n=st.integers(1, 8),
     separation=st.integers(0, 6),
+    letters=st.sampled_from([(0, 1), (0, 1, 2), (0, 1, 2, 3, 4), (3, 7)]),
+    scan_rows=st.sampled_from([1, 3, 7, dmc_code._SCAN_ROWS]),
+    scan_bytes=st.sampled_from([60, dmc_code._SCAN_BYTES]),
+    one_hot_bytes=st.sampled_from([1, typicality._ONE_HOT_BYTES]),
     seed=st.integers(0, 10**6),
 )
-def test_expurgation_matches_slow_oracles(m, n, separation, seed):
-    words = np.random.default_rng(seed).integers(0, 2, (m, n))
+def test_expurgation_matches_slow_oracles(
+    m, n, separation, letters, scan_rows, scan_bytes, one_hot_bytes, seed
+):
+    # Small constants make the greedy scan cross up to 20 blocks, shrink its
+    # blocks as the kept set grows, and split the words into column blocks.
+    words = np.asarray(letters)[np.random.default_rng(seed).integers(0, len(letters), (m, n))]
     rows = [tuple(r) for r in words]
-    assert drop_close_pairs(words, separation, 2).tolist() == slow_drop_both(rows, separation)
-    assert greedy_select(words, separation).tolist() == slow_greedy(rows, separation)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dmc_code, "_SCAN_ROWS", scan_rows)
+        mp.setattr(dmc_code, "_SCAN_BYTES", scan_bytes)
+        mp.setattr(typicality, "_ONE_HOT_BYTES", one_hot_bytes)
+        dropped = drop_close_pairs(words, separation, max(letters) + 1)
+        survivors, least_faithful = dmc_code._faithful_scan(words, separation, max(letters) + 1)
+        keep, least_greedy = dmc_code._greedy_scan(words, separation)
+        greedy = greedy_select(words, separation)
+    assert dropped.tolist() == survivors.tolist() == slow_drop_both(rows, separation)
+    assert keep.tolist() == greedy.tolist() == slow_greedy(rows, separation)
+    assert least_faithful == slow_min_distance([r for r, k in zip(rows, survivors) if k])
+    assert least_greedy == slow_min_distance([r for r, k in zip(rows, keep) if k])
 
 
 def test_drop_close_pairs_removes_both_members():
@@ -161,6 +189,18 @@ def test_faithful_pairwise_budget_refusal():
     # 2^15 words exceed the faithful expurgation budget but not max_words
     with pytest.raises(BudgetError):
         build_codebook(ch, n=50, rate=0.3, epsilon=0.1, delta=0.05, seed=1, backoff=0.0)
+
+
+@pytest.mark.parametrize("mode", ["faithful", "greedy"])
+def test_memory_budget_refusal_before_sampling(mode, monkeypatch):
+    # M = 2^20 words of length 10^4 pass max_words; their int64 array alone is 84 GB.
+    def no_sampling(*args):
+        raise AssertionError("sampled before the budget check")
+
+    monkeypatch.setattr(dmc_code, "sample_type_class", no_sampling)
+    with pytest.raises(BudgetError, match="memory budget"):
+        build_codebook(bsc(0.1, constraint=1.0), n=10**4, rate=0.002, epsilon=0.0,
+                       delta=0.05, seed=1, backoff=0.0, mode=mode)
 
 
 def test_greedy_mode_builds_valid_codebook():
@@ -348,6 +388,23 @@ def test_validate_flags_violations():
     assert v["min_distance"] == 2
 
 
+def test_mean_costs_equal_input_cost_bit_for_bit():
+    from di_codes import Dmc
+
+    wide = to_dmc(1.0, 1.0, 0.5, 4).channel
+    rng = np.random.default_rng(12)
+    # Costs that are not dyadic make the sums round, so the order of summation shows.
+    rough = Dmc(matrix=wide.matrix, cost=np.sort(rng.uniform(0, 3, wide.input_size)), constraint=3.0)
+    cases = [(cb.channel, cb.words) for _, (cb, _) in _golden_builds()]
+    for n in (1, 7, 9, 128, 129, 1000, 4097):
+        cases.append((wide, rng.integers(0, wide.input_size, (5, n))))
+        cases.append((rough, rng.integers(0, wide.input_size, (5, n))))
+    for channel, words in cases:
+        got = dmc_code._mean_costs(channel, words)
+        want = np.array([input_cost(channel, w) for w in words])
+        assert got.tobytes() == want.tobytes()
+
+
 def test_codebook_round_trip():
     ch = bsc(0.1, constraint=0.4)
     cb, _ = build_codebook(ch, n=40, rate=0.08, epsilon=0.05, delta=0.05, seed=6, backoff=0.2)
@@ -372,3 +429,80 @@ def test_mean_cost_respects_constraint_across_seeds():
         )
         assert report.mean_cost <= 0.3 + GUARD
         assert input_cost(ch, cb.words[0]) <= 0.3 + GUARD
+
+
+# --- golden replay ---
+
+# sha256 of words.tobytes(), of report.to_dict() and of validate_codebook(...)
+# (both dicts as sorted-key JSON), recorded before the Hamming kernel was
+# replaced; every construction decision must replay bit for bit.
+GOLDEN = {
+    "faithful-0": (
+        "bc15d1d17406759e3c48182d13f6577621a55c250c1fdd3bcfc8d0c3c123a3ad",
+        "d252b9e29eb4a62970cd681cf0401ab6dd8f43ece71f3d75b5c9cd7838758243",
+        "89be83a22991ce1604d5c2ad414a583fd19e45b918ef94970ea74b9b70512020",
+    ),
+    "faithful-1": (
+        "378bc7bfd59146004a5224429dd4a15b8bdecf27d230a4e528c7b96e82d16125",
+        "411c06d77119fd344e8a6cb39de03459878c2c4be004f8ea1625b8e55cd6d51a",
+        "cdcfc09ddf0f52f1e4a1366cc7e071c677c4aa6006dc537c9a1903c9c6a677c8",
+    ),
+    "faithful-2": (
+        "1a2b4c40bbedd168204abfd7ad30e2d09b7385ecfb89a4c30c740121639d72ca",
+        "ae1cffe0379183ba09051377763669c84278a0619f7121126fbcdc03306dea39",
+        "51c3c56510a68ab7e6553d64926c59222540073c0870ba90d338ff4bce3d33a9",
+    ),
+    "faithful-3": (
+        "0e897fad8f90b47aaeb9145dc12bc63a19bd1fceeb962f1b1ceb4426a8e2ac79",
+        "fafc2c02e811c3c7484059e4fe67c99da04a43aae3819d602b8c4034ae55b52d",
+        "c2579b3514034dc07c0555632fe874161cc992f1a3a8b02417f01f9eca1c3fb5",
+    ),
+    "greedy-0": (
+        "2669555bbc7ae5e052da02fce5cbf6ff303226487d6cc3b23571334e3dbd7a91",
+        "49fecd4c292b674c01a8fe6ecd6bff6202ce6cea089d7c5d368b768c7cf85593",
+        "7388cd958fe2102a79c97fa93e8c6426939f7782860badf69968238e7aa24a48",
+    ),
+    "greedy-1": (
+        "66b5b8d4a18ed3d23106ab8fd72db46b4280f631455cd4487ea2dd2a1b44b3a2",
+        "74740403d1a4532ab3a9030292e288d614c5e753c93673e8f89e75765d308030",
+        "507ea72532491a5057c0da2ac9e40167c3e94c8c51dec50a3e9d00b146c6f109",
+    ),
+    "greedy-2": (
+        "d5e215cb5977973a12cac781b6a8565b434650a27951cc91aa72150925dbc1b4",
+        "425a34c2112bfd929fcd2b18595d6e6d554077455a7a26d4f9a4452050e9ce7f",
+        "4b126e506f9d8001ee7d9b1dd4162193336f4c41cf1a07fcd633b6ce021d3ba0",
+    ),
+    "greedy-3": (
+        "4ce59a9814aca6dbbc7dbdfcd4077b3a8f0502d7f70b2934ae093b27fef18f47",
+        "27423ff5d12783e521c52eb186a24d975c291c2f3900b4cf5c7f756850ceeffb",
+        "00025e35104c9d2ac908acc2ecb07487b50d588c1d97fc7fe684d128afdcb23a",
+    ),
+    "wide": (
+        "1eb611cbd1e3ceadd6f28b5ea196a5e97bee5b46b67242d4a37f0a88814b52d6",
+        "25b6257663e529f4138705fd0001239b41437a67d7b042a2366002779c308538",
+        "0f235e447079b50c619841da562e5ec78196e800010da471302ab3799fcad1f4",
+    ),
+}
+
+
+def _sha(obj):
+    data = obj.tobytes() if isinstance(obj, np.ndarray) else json.dumps(obj, sort_keys=True).encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+def _golden_builds():
+    ch = bsc(0.1, constraint=0.013)
+    rate = 0.5 * di_capacity(ch).value_bits
+    for mode in ("faithful", "greedy"):
+        for seed in range(4):
+            yield f"{mode}-{seed}", build_codebook(
+                ch, n=200, rate=rate, epsilon=0.01, delta=0.03, seed=seed, backoff=0.0, mode=mode
+            )
+    wide = to_dmc(1.0, 1.0, 0.5, 4).channel
+    yield "wide", build_codebook(wide, n=200, rate=0.05, epsilon=0.05, delta=0.03, seed=0)
+
+
+def test_golden_builds_replay_bit_for_bit():
+    got = {key: (_sha(cb.words), _sha(rep.to_dict()), _sha(validate_codebook(cb)))
+           for key, (cb, rep) in _golden_builds()}
+    assert got == GOLDEN

@@ -29,6 +29,7 @@ from di_codes import (
     sphere_exponent,
     type_class_size,
 )
+from di_codes import typicality
 from di_codes.typicality import canonical_word, enumerate_type_class, sample_type_class, typical_words
 
 GUARD = 1e-9
@@ -256,12 +257,22 @@ def test_sample_type_class_rows_have_the_type():
         assert empirical_type(row, 2) == et
 
 
-def test_pairwise_hamming_matches_nested_loops():
-    rng = np.random.default_rng(3)
-    words = rng.integers(0, 3, (12, 9))
-    d = pairwise_hamming(words, 3)
-    for i in range(12):
-        for j in range(12):
+@given(
+    q=st.integers(1, 9),
+    m=st.integers(0, 40),
+    n=st.integers(1, 64),
+    one_hot_bytes=st.sampled_from([1, 100, 1000, typicality._ONE_HOT_BYTES]),
+    seed=st.integers(0, 10**6),
+)
+def test_pairwise_hamming_matches_nested_loops(q, m, n, one_hot_bytes, seed):
+    # Small one-hot budgets split the words into blocks of positions, down to one.
+    words = np.random.default_rng(seed).integers(0, q, (m, n))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(typicality, "_ONE_HOT_BYTES", one_hot_bytes)
+        d = pairwise_hamming(words, q)
+    assert d.dtype == np.int64 and d.shape == (m, m)
+    for i in range(m):
+        for j in range(m):
             assert d[i, j] == hamming_distance(words[i], words[j])
 
 
