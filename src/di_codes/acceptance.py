@@ -304,7 +304,8 @@ def check_dmc_error_decay() -> CheckResult:
 
 
 def check_duplicate_codeword_identity() -> CheckResult:
-    """With a duplicated codeword, the two error kinds sum to one."""
+    """With a duplicated codeword, the two decoders, each deciding on its own,
+    give error kinds that sum to one: the decoder depends only on the codeword."""
 
     def run():
         channel = bsc(0.1, constraint=1.0)

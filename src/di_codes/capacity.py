@@ -38,6 +38,7 @@ from .typicality import (
     distance_threshold,
     intersection_ratio,
     sphere_exponent,
+    type_class_size,
 )
 
 DEFAULT_TYPE_BUDGET = 10**7
@@ -226,19 +227,10 @@ def converse_count(channel: Dmc, n: int, type_budget: int = DEFAULT_TYPE_BUDGET)
     total = 0
     for counts in _compositions(n, k):
         if float(np.dot(counts, cost)) <= ceiling:
-            total += _multinomial(n, counts)
+            total += type_class_size(EmpiricalType(counts, n))
     cap = max_entropy_pmf(reduced.cost, reduced.constraint).value_bits
     alpha_n = k * math.log2(n + 1) / n
     return total, n * (cap + alpha_n)
-
-
-def _multinomial(n: int, counts: Sequence[int]) -> int:
-    total = 1
-    remaining = n
-    for c in counts:
-        total *= math.comb(remaining, c)
-        remaining -= c
-    return total
 
 
 def balanced_type(n: int, alphabet_size: int) -> EmpiricalType:

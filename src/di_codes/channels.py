@@ -177,10 +177,15 @@ def transmit_dmc(channel: Dmc, codeword: Sequence[int] | np.ndarray, rng: np.ran
         raise ValueError("codeword must be one-dimensional")
     if word.size and (word.min() < 0 or word.max() >= channel.input_size):
         raise ValueError("codeword letter outside the input alphabet")
-    cum = np.cumsum(channel.matrix, axis=1)
-    rows = cum[word]
-    u = rng.random(word.size)
-    return (rows[:, :-1] <= u[:, None]).sum(axis=1).astype(np.int64)
+    return _transmit_rows(channel.matrix, word, rng, 1)[0]
+
+
+def _transmit_rows(matrix: np.ndarray, word: np.ndarray, rng: np.random.Generator, rows: int) -> np.ndarray:
+    """``rows`` i.i.d. output blocks for ``word``, one uniform per symbol in
+    row order; stream-equivalent to ``rows`` calls of ``transmit_dmc``."""
+    cum = np.cumsum(matrix, axis=1)[word, :-1]
+    u = rng.random((rows, word.size))
+    return (cum <= u[:, :, None]).sum(axis=2, dtype=np.int64)
 
 
 def transmit_gauss(channel: GaussChannel, codeword: Sequence[float] | np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -34,7 +34,7 @@ from . import __version__
 from .acceptance import CHECKS, format_line, run_checks
 from .capacity import bsc_capacity_curve, di_capacity
 from .channels import Dmc, GaussChannel, bsc, dmc_from_dict, dmc_to_dict, reduce_channel
-from .discretize import gaussian_differential_entropy, to_dmc
+from .discretize import discretized_entropy, entropy_defect, gaussian_differential_entropy, to_dmc
 from .dmc_code import (
     build_codebook,
     codebook_from_dict,
@@ -44,12 +44,15 @@ from .dmc_code import (
 )
 from .errors import BudgetError, DiCodesError
 from .gauss_code import (
+    DEFAULT_PROBE_BUDGET,
+    DEFAULT_PROBE_TRIALS,
     build_gauss_codebook,
     gauss_codebook_from_dict,
     gauss_codebook_to_dict,
     min_center_distance,
     simulate_gauss_errors,
 )
+from .stats import DEFAULT_PAIR_BUDGET
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -265,12 +268,7 @@ def _cmd_discretize(parser: _Parser, args: argparse.Namespace) -> int:
         input_j=args.input_j,
         output_j=args.output_j,
     )
-    entropy = float(
-        -(dc.input_probabilities * np.log2(
-            np.where(dc.input_probabilities > 0, dc.input_probabilities, 1.0)
-        )).sum()
-    )
-    limit = gaussian_differential_entropy(args.power)
+    entropy = discretized_entropy(args.power, dc.step, dc.input_j)
     payload = {
         "step": dc.step,
         "input_j": dc.input_j,
@@ -279,8 +277,8 @@ def _cmd_discretize(parser: _Parser, args: argparse.Namespace) -> int:
         "output_size": dc.channel.output_size,
         "entropy_bits": entropy,
         "entropy_plus_log_step": entropy + math.log2(dc.step),
-        "differential_entropy_limit": limit,
-        "entropy_defect": entropy + math.log2(dc.step) - limit,
+        "differential_entropy_limit": gaussian_differential_entropy(args.power),
+        "entropy_defect": entropy_defect(args.power, dc.step, dc.input_j),
         "rows_distinct": dc.rows_distinct,
         "min_row_gap": dc.min_row_gap,
         "constraint": dc.channel.constraint,
@@ -356,7 +354,7 @@ def build_parser() -> _Parser:
     p.add_argument("--codebook", metavar="FILE", required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--pair-budget", type=int, default=8)
+    p.add_argument("--pair-budget", type=int, default=DEFAULT_PAIR_BUDGET)
     p.add_argument("--message-budget", type=int, default=None)
     p.set_defaults(func=_cmd_simulate_dmc)
 
@@ -367,10 +365,10 @@ def build_parser() -> _Parser:
     p.add_argument("--epsilon", type=float, required=True, help="protection radius squared")
     p.add_argument("--delta", type=float, required=True, help="decoder energy slack")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--probe-budget", type=int, default=10**5,
+    p.add_argument("--probe-budget", type=int, default=DEFAULT_PROBE_BUDGET,
                    help="consecutive rejections that declare saturation")
     p.add_argument("--max-centers", type=int, default=None)
-    p.add_argument("--probe-trials", type=int, default=4096)
+    p.add_argument("--probe-trials", type=int, default=DEFAULT_PROBE_TRIALS)
     p.add_argument("--output", metavar="FILE", help="write codebook + certificate as JSON")
     p.set_defaults(func=_cmd_codebook_gauss)
 
@@ -378,7 +376,7 @@ def build_parser() -> _Parser:
     p.add_argument("--codebook", metavar="FILE", required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--pair-budget", type=int, default=8)
+    p.add_argument("--pair-budget", type=int, default=DEFAULT_PAIR_BUDGET)
     p.add_argument("--message-budget", type=int, default=None)
     p.set_defaults(func=_cmd_simulate_gauss)
 

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
+from .capacity import entropy_bits
 from .channels import Dmc
 
 # Two rows closer than this (sup norm) are flagged as indistinguishable.
@@ -100,9 +101,7 @@ def input_pmf(power: float, step: float, j: int) -> np.ndarray:
 
 def discretized_entropy(power: float, step: float, j: int) -> float:
     """Entropy in bits of the quantized N(0, power) input."""
-    p = input_pmf(power, step, j)
-    nz = p[p > 0]
-    return float(-(nz * np.log2(nz)).sum())
+    return entropy_bits(input_pmf(power, step, j))
 
 
 def gaussian_differential_entropy(power: float) -> float:

@@ -23,25 +23,25 @@ from typing import Sequence
 import numpy as np
 
 from .capacity import entropy_bits, max_entropy_pmf
-from .channels import Dmc, dmc_from_dict, dmc_to_dict, input_cost, reduce_channel
+from .channels import Dmc, _transmit_rows, dmc_from_dict, dmc_to_dict, input_cost, reduce_channel
 from .errors import BudgetError, ConstructionError
-from .stats import SimReport
+from .stats import DEFAULT_PAIR_BUDGET, SimReport, _closest_first_pairs, _in_chunks, _simulate
 from .typicality import (
     _TIE_GUARD,
     EmpiricalType,
-    TypicalityParams,
+    _aligned,
+    _conditional_targets,
     _hamming_blocks,
+    _typical_rows,
     apportion_counts,
     distance_threshold,
     empirical_type,
-    is_jointly_typical,
     pairwise_hamming,
     sample_type_class,
     sphere_exponent,
 )
 
 DEFAULT_MAX_WORDS = 2**20
-DEFAULT_PAIR_BUDGET = 8
 
 # Pairwise-distance matrices are dense; cap the word count they are built for.
 _MAX_PAIRWISE_WORDS = 2**14
@@ -60,11 +60,6 @@ _MAX_BUILD_BYTES = 2**32
 
 # Stands in for "no other word": larger than every Hamming distance.
 _FAR = np.iinfo(np.int64).max
-
-# Monte Carlo transmissions are generated this many blocks at a time. Chunked
-# generation is stream-equivalent: the concatenated chunks reproduce exactly
-# the draws of one unchunked call on the same generator.
-_CHUNK_ROWS = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -363,10 +358,11 @@ def build_codebook(
     return codebook, report
 
 
-def _decoder_targets(word: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """Scaled joint-pmf targets n*p(a,b) = N(a|word) * W[a,b] for the decoder."""
-    counts = np.bincount(word, minlength=matrix.shape[0]).astype(float)
-    return counts[:, None] * matrix
+def _decide(codebook: DmcCodebook, candidate: int, outputs: np.ndarray) -> np.ndarray:
+    """The answers of decoder ``candidate`` for every row of ``outputs``."""
+    word = codebook.words[candidate]
+    targets = _conditional_targets(word, codebook.channel.matrix)
+    return _typical_rows(word, outputs, targets, codebook.delta)
 
 
 def identify(codebook: DmcCodebook, output: Sequence[int] | np.ndarray, candidate: int) -> bool:
@@ -378,68 +374,9 @@ def identify(codebook: DmcCodebook, output: Sequence[int] | np.ndarray, candidat
     """
     if not 0 <= candidate < codebook.word_count:
         raise ValueError("candidate index out of range")
-    word = codebook.words[candidate]
-    joint = _decoder_targets(word, codebook.channel.matrix) / codebook.block_length
-    return is_jointly_typical(word, output, joint, TypicalityParams(codebook.delta))
-
-
-def _batch_typical(
-    word: np.ndarray,
-    outputs: np.ndarray,
-    matrix: np.ndarray,
-    delta: float,
-) -> np.ndarray:
-    """Vectorized joint-typicality decisions for many output blocks at once.
-
-    Must agree decision-for-decision with ``identify``; the comparison uses
-    the same scaled-count arithmetic and the same tie guard.
-    """
-    n = word.size
-    targets = _decoder_targets(word, matrix)
-    ndelta = n * delta
-    ok = np.ones(outputs.shape[0], dtype=bool)
-    for a in range(matrix.shape[0]):
-        pos = np.flatnonzero(word == a)
-        if pos.size == 0:
-            continue
-        sub = outputs[:, pos]
-        for b in range(matrix.shape[1]):
-            cnt = (sub == b).sum(axis=1)
-            if targets[a, b] == 0.0:
-                ok &= cnt == 0
-            else:
-                ok &= np.abs(cnt - targets[a, b]) <= ndelta + _TIE_GUARD
-    return ok
-
-
-def _transmit_block(matrix: np.ndarray, word: np.ndarray, rng: np.random.Generator, rows: int) -> np.ndarray:
-    """``rows`` i.i.d. output blocks for ``word``; stream-equivalent to
-    calling the single-block transmitter ``rows`` times on the same generator."""
-    cum = np.cumsum(matrix, axis=1)
-    ref = cum[word]
-    u = rng.random((rows, word.size))
-    return (ref[None, :, :-1] <= u[:, :, None]).sum(axis=2).astype(np.int64)
-
-
-def _count_errors(
-    matrix: np.ndarray,
-    send_word: np.ndarray,
-    test_word: np.ndarray,
-    delta: float,
-    trials: int,
-    rng: np.random.Generator,
-    inside: bool,
-) -> int:
-    """Transmit send_word ``trials`` times; count outputs (not) typical for test_word."""
-    errors = 0
-    done = 0
-    while done < trials:
-        rows = min(_CHUNK_ROWS, trials - done)
-        ys = _transmit_block(matrix, send_word, rng, rows)
-        hits = _batch_typical(test_word, ys, matrix, delta)
-        errors += int(hits.sum()) if inside else int((~hits).sum())
-        done += rows
-    return errors
+    channel = codebook.channel
+    _, y = _aligned(codebook.words[candidate], output, channel.input_size, channel.output_size)
+    return bool(_decide(codebook, candidate, y[None, :])[0])
 
 
 def select_pairs(codebook: DmcCodebook, pair_budget: int = DEFAULT_PAIR_BUDGET) -> list[tuple[int, int]]:
@@ -450,24 +387,17 @@ def select_pairs(codebook: DmcCodebook, pair_budget: int = DEFAULT_PAIR_BUDGET) 
     overlap error; the remaining budget is filled with the cyclic pairs
     (i, i+1 mod M) in index order.
     """
-    m = codebook.word_count
-    if m < 2 or pair_budget < 1:
-        return []
-    if m > _MAX_PAIRWISE_WORDS:
-        raise BudgetError(
-            f"pairwise budget {_MAX_PAIRWISE_WORDS} exceeded: {m} words"
-        )
-    dist = pairwise_hamming(codebook.words, codebook.channel.input_size)
-    np.fill_diagonal(dist, codebook.block_length + 1)
-    i, j = np.unravel_index(int(np.argmin(dist)), dist.shape)
-    pairs: list[tuple[int, int]] = [(int(i), int(j)), (int(j), int(i))]
-    for a in range(m):
-        b = (a + 1) % m
-        if len(pairs) >= pair_budget:
-            break
-        if (a, b) not in pairs and a != b:
-            pairs.append((a, b))
-    return pairs[:pair_budget]
+
+    def closest() -> tuple[int, int]:
+        if codebook.word_count > _MAX_PAIRWISE_WORDS:
+            raise BudgetError(
+                f"pairwise budget {_MAX_PAIRWISE_WORDS} exceeded: {codebook.word_count} words"
+            )
+        dist = pairwise_hamming(codebook.words, codebook.channel.input_size)
+        np.fill_diagonal(dist, _FAR)
+        return np.unravel_index(int(np.argmin(dist)), dist.shape)
+
+    return _closest_first_pairs(codebook.word_count, pair_budget, closest)
 
 
 def simulate_errors(
@@ -485,56 +415,27 @@ def simulate_errors(
     message_budget = None evaluates every message; an integer evaluates an
     evenly spaced subset of that size.
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    m = codebook.word_count
-    if m < 1:
-        raise ValueError("codebook is empty")
-    if message_budget is None or message_budget >= m:
-        messages = list(range(m))
-    elif message_budget < 1:
-        raise ValueError("message_budget must be positive")
-    else:
-        messages = sorted({int(v) for v in np.linspace(0, m - 1, message_budget).round()})
-    pairs = select_pairs(codebook, pair_budget)
-
-    streams = np.random.SeedSequence(seed).spawn(len(messages) + len(pairs))
     matrix = codebook.channel.matrix
-    delta = codebook.delta
 
-    pe1_errors = []
-    for k, i in enumerate(messages):
-        rng = np.random.default_rng(streams[k])
-        word = codebook.words[i]
-        pe1_errors.append(
-            _count_errors(matrix, word, word, delta, trials, rng, inside=False)
-        )
-    pe2_errors = []
-    for k, (i, j) in enumerate(pairs):
-        rng = np.random.default_rng(streams[len(messages) + k])
-        pe2_errors.append(
-            _count_errors(
-                matrix, codebook.words[i], codebook.words[j], delta, trials, rng, inside=True
-            )
-        )
-    return SimReport(
-        trials=trials,
-        seed=seed,
-        pe1_index=tuple(messages),
-        pe1_errors=tuple(pe1_errors),
-        pe2_pairs=tuple(pairs),
-        pe2_errors=tuple(pe2_errors),
+    def accepts(i: int, j: int, rng: np.random.Generator, rows: int) -> np.ndarray:
+        return _decide(codebook, j, _transmit_rows(matrix, codebook.words[i], rng, rows))
+
+    return _simulate(
+        codebook.word_count, trials, seed, message_budget,
+        lambda: select_pairs(codebook, pair_budget),
+        accepts, codebook.block_length * codebook.channel.output_size,
     )
 
 
 def same_codeword_conflict(codebook: DmcCodebook, i: int, j: int, trials: int, seed: int) -> dict:
-    """Demonstrate that two equal codewords cannot both be identified reliably.
+    """Test that the decoder depends only on the codeword: two messages that
+    share one cannot both be identified reliably.
 
-    When u_i = u_j the decoding regions coincide, so on every single output
-    block exactly one of the two error events {miss i} and {accept j} occurs:
-    the empirical estimates satisfy pe1 + pe2 = 1 identically, not just in
-    expectation. Evaluated on one shared stream of outputs to expose the
-    per-sample complement.
+    Outputs of u_i are drawn on one stream, and decoder i and decoder j each
+    decide every output block on their own. A decoder that depends only on
+    the codeword gives both messages the same region, so on every block
+    exactly one of the error events {miss i} and {accept j} occurs, and the
+    estimates satisfy pe1 + pe2 = 1 identically, not just in expectation.
     """
     if not (0 <= i < codebook.word_count and 0 <= j < codebook.word_count):
         raise ValueError("message index out of range")
@@ -545,17 +446,15 @@ def same_codeword_conflict(codebook: DmcCodebook, i: int, j: int, trials: int, s
     if trials < 1:
         raise ValueError("trials must be positive")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    matrix = codebook.channel.matrix
-    word = codebook.words[i]
-    inside = 0
-    done = 0
-    while done < trials:
-        rows = min(_CHUNK_ROWS, trials - done)
-        ys = _transmit_block(matrix, word, rng, rows)
-        inside += int(_batch_typical(word, ys, matrix, codebook.delta).sum())
-        done += rows
-    pe1 = (trials - inside) / trials
-    pe2 = inside / trials
+
+    def accepted(rows: int) -> np.ndarray:
+        outputs = _transmit_rows(codebook.channel.matrix, codebook.words[i], rng, rows)
+        return np.array([_decide(codebook, k, outputs).sum() for k in (i, j)])
+
+    row_scalars = codebook.block_length * codebook.channel.output_size
+    hits_i, hits_j = (int(h) for h in _in_chunks(trials, row_scalars, accepted))
+    pe1 = (trials - hits_i) / trials
+    pe2 = hits_j / trials
     return {
         "i": i,
         "j": j,

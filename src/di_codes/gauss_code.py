@@ -30,7 +30,7 @@ against the simulated rates; they assume the coupling eps >= 3 * delta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -38,11 +38,10 @@ from scipy.spatial import cKDTree
 
 from .channels import GaussChannel, gauss_from_dict, gauss_to_dict
 from .errors import ConstructionError
-from .stats import SimReport
+from .stats import DEFAULT_PAIR_BUDGET, SimReport, _closest_first_pairs, _in_chunks, _simulate
 
 DEFAULT_PROBE_BUDGET = 10**5
 DEFAULT_PROBE_TRIALS = 4096
-DEFAULT_PAIR_BUDGET = 8
 
 # Candidates are drawn from the stream in fixed-size batches; because the
 # batch size never adapts, the candidate sequence depends only on the seed,
@@ -52,9 +51,6 @@ _PENDING_LIMIT = 512
 
 # Approximation factor of the cover test's first stage; see _covered.
 _COVER_EPS = 3.0
-
-# Noise blocks per simulation chunk are sized to about this many scalars.
-_CHUNK_SCALARS = 2**22
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,17 +296,14 @@ def build_gauss_codebook(
     centers = kept_buf[:kept_count].copy()
     codebook = GaussCodebook(channel=channel, centers=centers, epsilon=epsilon, delta=delta)
 
-    probe_rng = np.random.default_rng(probe_stream)
     covered = 0
     if probe_trials and centers.size:
         final_tree = cKDTree(centers)
-        done = 0
-        block = max(1, _CHUNK_SCALARS // max(n, 1))
-        while done < probe_trials:
-            rows = min(block, probe_trials - done)
-            pts = _sample_ball(probe_rng, rows, n, r1)
-            covered += int(_covered(final_tree, pts, min_d).sum())
-            done += rows
+        probe_rng = np.random.default_rng(probe_stream)
+        covered = _in_chunks(
+            probe_trials, n,
+            lambda rows: int(_covered(final_tree, _sample_ball(probe_rng, rows, n, r1), min_d).sum()),
+        )
 
     certificate = SaturationCertificate(
         center_count=centers.shape[0],
@@ -363,56 +356,6 @@ def min_center_distance(codebook: GaussCodebook) -> float:
     return float(d[:, 1].min())
 
 
-def _select_pairs_euclid(codebook: GaussCodebook, pair_budget: int) -> list[tuple[int, int]]:
-    """Closest pair in both directions, then cyclic fill; same policy as the DMC side."""
-    m = codebook.center_count
-    if m < 2 or pair_budget < 1:
-        return []
-    tree = cKDTree(codebook.centers)
-    d, idx = tree.query(codebook.centers, k=2)
-    i = int(np.argmin(d[:, 1]))
-    j = int(idx[i, 1])
-    a, b = (i, j) if i < j else (j, i)
-    pairs: list[tuple[int, int]] = [(a, b), (b, a)]
-    for p in range(m):
-        q = (p + 1) % m
-        if len(pairs) >= pair_budget:
-            break
-        if (p, q) not in pairs and p != q:
-            pairs.append((p, q))
-    return pairs[:pair_budget]
-
-
-def _count_gauss_errors(
-    channel: GaussChannel,
-    x_send: np.ndarray,
-    x_test: np.ndarray,
-    delta: float,
-    trials: int,
-    rng: np.random.Generator,
-    inside: bool,
-) -> int:
-    """Transmit x_send ``trials`` times; count outputs in(side) x_test's region.
-
-    Chunked noise generation is stream-equivalent to one unchunked draw."""
-    n = x_send.size
-    threshold = channel.sigma2 + delta
-    sigma = math.sqrt(channel.sigma2)
-    shift = x_send - x_test
-    errors = 0
-    done = 0
-    block = max(1, _CHUNK_SCALARS // n)
-    while done < trials:
-        rows = min(block, trials - done)
-        z = sigma * rng.standard_normal((rows, n))
-        diff = z + shift
-        stat = (diff * diff).sum(axis=1) / n
-        hits = stat <= threshold
-        errors += int(hits.sum()) if inside else int((~hits).sum())
-        done += rows
-    return errors
-
-
 def simulate_gauss_errors(
     codebook: GaussCodebook,
     trials: int,
@@ -420,58 +363,37 @@ def simulate_gauss_errors(
     pair_budget: int = DEFAULT_PAIR_BUDGET,
     message_budget: int | None = None,
 ) -> SimReport:
-    """Monte Carlo error estimates with the same stream discipline as the DMC
-    simulator: one child stream per evaluated message, then one per pair.
+    """Monte Carlo error estimates with the same stream discipline and the
+    same pair policy as the DMC simulator: one child stream per evaluated
+    message, then one per pair, the closest pair of centers first.
 
     The report carries the Chebyshev reference bounds for this (n, delta) so
     callers can compare the empirical rates against the analytic envelope.
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    m = codebook.center_count
-    if m < 1:
-        raise ValueError("codebook is empty")
-    if message_budget is None or message_budget >= m:
-        messages = list(range(m))
-    elif message_budget < 1:
-        raise ValueError("message_budget must be positive")
-    else:
-        messages = sorted({int(v) for v in np.linspace(0, m - 1, message_budget).round()})
-    pairs = _select_pairs_euclid(codebook, pair_budget)
+    n = codebook.block_length
+    sigma = math.sqrt(codebook.channel.sigma2)
+    threshold = codebook.channel.sigma2 + codebook.delta
 
-    streams = np.random.SeedSequence(seed).spawn(len(messages) + len(pairs))
-    pe1_errors = []
-    for k, i in enumerate(messages):
-        rng = np.random.default_rng(streams[k])
-        x = codebook.codeword(i)
-        pe1_errors.append(
-            _count_gauss_errors(codebook.channel, x, x, codebook.delta, trials, rng, inside=False)
-        )
-    pe2_errors = []
-    for k, (i, j) in enumerate(pairs):
-        rng = np.random.default_rng(streams[len(messages) + k])
-        pe2_errors.append(
-            _count_gauss_errors(
-                codebook.channel,
-                codebook.codeword(i),
-                codebook.codeword(j),
-                codebook.delta,
-                trials,
-                rng,
-                inside=True,
-            )
-        )
-    ref1, ref2 = chebyshev_references(codebook.channel, codebook.block_length, codebook.delta)
-    return SimReport(
-        trials=trials,
-        seed=seed,
-        pe1_index=tuple(messages),
-        pe1_errors=tuple(pe1_errors),
-        pe2_pairs=tuple(pairs),
-        pe2_errors=tuple(pe2_errors),
-        chebyshev_pe1=ref1,
-        chebyshev_pe2=ref2,
+    def accepts(i: int, j: int, rng: np.random.Generator, rows: int) -> np.ndarray:
+        # In place, with the same roundings as sigma * z + shift, squared.
+        diff = rng.standard_normal((rows, n))
+        diff *= sigma
+        diff += codebook.codeword(i) - codebook.codeword(j)
+        diff *= diff
+        return diff.sum(axis=1) / n <= threshold
+
+    def closest() -> tuple[int, int]:
+        d, idx = cKDTree(codebook.centers).query(codebook.centers, k=2)
+        i = int(np.argmin(d[:, 1]))
+        return i, int(idx[i, 1])
+
+    report = _simulate(
+        codebook.center_count, trials, seed, message_budget,
+        lambda: _closest_first_pairs(codebook.center_count, pair_budget, closest),
+        accepts, n,
     )
+    ref1, ref2 = chebyshev_references(codebook.channel, n, codebook.delta)
+    return replace(report, chebyshev_pe1=ref1, chebyshev_pe2=ref2)
 
 
 def gauss_codebook_to_dict(codebook: GaussCodebook) -> dict:

@@ -1,12 +1,24 @@
-"""Small statistics helpers used by the simulators and the acceptance suite."""
+"""Statistics helpers and the one Monte Carlo loop behind both simulators."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
 
 # 95% two-sided normal quantile used for every interval in this package.
 WILSON_Z = 1.96
+
+DEFAULT_PAIR_BUDGET = 8
+
+# Transmissions are generated in chunks of about this many scalars. For the
+# simulators chunking is stream-equivalent: the concatenated chunks reproduce
+# exactly the draws of one unchunked call on the same generator. The probe
+# pass of the Gaussian packing draws normals, then uniforms, per chunk, so
+# its probes depend on this size once probe_trials * n passes it.
+_CHUNK_SCALARS = 2**22
 
 
 def wilson_interval(successes: int, trials: int, z: float = WILSON_Z) -> tuple[float, float]:
@@ -126,3 +138,75 @@ class SimReport:
         if self.chebyshev_pe1 is not None or self.chebyshev_pe2 is not None:
             out["chebyshev"] = {"pe1": self.chebyshev_pe1, "pe2": self.chebyshev_pe2}
         return out
+
+
+def _in_chunks(trials: int, row_scalars: int, chunk: Callable[[int], int | np.ndarray]):
+    """Sum of ``chunk(rows)`` over chunks covering ``trials`` transmissions,
+    each of at most ``_CHUNK_SCALARS // row_scalars`` rows (at least one)."""
+    step = max(1, _CHUNK_SCALARS // row_scalars)
+    return sum(chunk(min(step, trials - done)) for done in range(0, trials, step))
+
+
+def _closest_first_pairs(
+    m: int, pair_budget: int, closest: Callable[[], tuple[int, int]]
+) -> list[tuple[int, int]]:
+    """Deterministic ordered pairs for type-II estimation.
+
+    The closest pair is evaluated in both directions first, lower index
+    first, because words at minimum separation dominate the overlap error;
+    the remaining budget is filled with the cyclic pairs (i, i+1 mod M) in
+    index order. ``closest`` is called only when a pair is evaluated.
+    """
+    if m < 2 or pair_budget < 1:
+        return []
+    i, j = sorted(int(v) for v in closest())
+    first = [(i, j), (j, i)]
+    cyclic = ((a, (a + 1) % m) for a in range(m))
+    return (first + [p for p in cyclic if p not in first])[:pair_budget]
+
+
+def _simulate(
+    m: int,
+    trials: int,
+    seed: int,
+    message_budget: int | None,
+    pairs: Callable[[], list[tuple[int, int]]],
+    accepts: Callable[[int, int, np.random.Generator, int], np.ndarray],
+    row_scalars: int,
+) -> SimReport:
+    """Monte Carlo estimates of both identification error kinds.
+
+    ``accepts(i, j, rng, rows)`` transmits the codeword of message i ``rows``
+    times and says which outputs the decoder of message j accepts; a
+    transmission costs ``row_scalars`` scalars of chunk memory. Every
+    evaluated message and every ordered pair from ``pairs()`` gets its own
+    child stream of ``seed``, spawned messages first, then pairs, so
+    enlarging one budget never perturbs the other estimates.
+    message_budget = None evaluates every message; an integer evaluates an
+    evenly spaced subset of that size.
+    """
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    if m < 1:
+        raise ValueError("codebook is empty")
+    if message_budget is None or message_budget >= m:
+        messages = list(range(m))
+    elif message_budget < 1:
+        raise ValueError("message_budget must be positive")
+    else:
+        messages = sorted({int(v) for v in np.linspace(0, m - 1, message_budget).round()})
+    tested = pairs()
+    streams = np.random.SeedSequence(seed).spawn(len(messages) + len(tested))
+
+    def hits(i: int, j: int, stream: np.random.SeedSequence) -> int:
+        rng = np.random.default_rng(stream)
+        return _in_chunks(trials, row_scalars, lambda rows: int(accepts(i, j, rng, rows).sum()))
+
+    return SimReport(
+        trials=trials,
+        seed=seed,
+        pe1_index=tuple(messages),
+        pe1_errors=tuple(trials - hits(i, i, s) for i, s in zip(messages, streams)),
+        pe2_pairs=tuple(tested),
+        pe2_errors=tuple(hits(i, j, s) for (i, j), s in zip(tested, streams[len(messages):])),
+    )

@@ -10,7 +10,10 @@ The conventions used throughout the package:
 * A pair (x, y) is delta-typical for a joint pmf p when every entry satisfies
   |N(a,b) - n*p(a,b)| <= n*delta, with the exact support condition N(a,b) = 0
   wherever p(a,b) = 0. This "strong" notion is what the decoder uses; weak
-  (entropy-based) typicality is deliberately not implemented.
+  (entropy-based) typicality is deliberately not implemented. One batched
+  kernel, ``_typical_rows``, makes every such decision: ``is_jointly_typical``,
+  the conditional enumeration below, and the DMC decoder and simulator all
+  call it.
 
 * Hamming spheres use the strict inequality d(x, y) < n*eps, except that a
   zero-radius sphere is the center alone. The matching separation rule used
@@ -120,6 +123,20 @@ def _as_word(seq: Sequence[int] | np.ndarray, alphabet_size: int, name: str) -> 
     return word
 
 
+def _aligned(
+    x: Sequence[int] | np.ndarray,
+    y: Sequence[int] | np.ndarray,
+    input_size: int,
+    output_size: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """x and y as checked int64 words of one length."""
+    xa = _as_word(x, input_size, "x")
+    ya = _as_word(y, output_size, "y")
+    if xa.size != ya.size:
+        raise ValueError("x and y have different lengths")
+    return xa, ya
+
+
 def empirical_type(sequence: Sequence[int] | np.ndarray, alphabet_size: int) -> EmpiricalType:
     """Exact letter counts of ``sequence`` over the alphabet {0..alphabet_size-1}."""
     if alphabet_size < 1:
@@ -136,10 +153,7 @@ def joint_type(
     output_size: int,
 ) -> JointType:
     """Joint counts N(a, b) of the aligned pair (x, y)."""
-    xa = _as_word(x, input_size, "x")
-    ya = _as_word(y, output_size, "y")
-    if xa.size != ya.size:
-        raise ValueError("x and y have different lengths")
+    xa, ya = _aligned(x, y, input_size, output_size)
     flat = np.bincount(xa * output_size + ya, minlength=input_size * output_size)
     mat = flat.reshape(input_size, output_size)
     return JointType(tuple(tuple(int(c) for c in row) for row in mat), int(xa.size))
@@ -310,12 +324,24 @@ def pairwise_hamming(words: np.ndarray, alphabet_size: int) -> np.ndarray:
     return _hamming_blocks(w, w, np.arange(alphabet_size))
 
 
-def _joint_counts_ok(counts: np.ndarray, targets: np.ndarray, ndelta: float) -> bool:
-    """Shared typicality kernel: scaled-count box plus exact support condition."""
-    zero = targets == 0.0
-    if np.any(counts[zero] != 0):
-        return False
-    return bool(np.all(np.abs(counts - targets) <= ndelta + _TIE_GUARD))
+def _typical_rows(word: np.ndarray, outputs: np.ndarray, targets: np.ndarray, delta: float) -> np.ndarray:
+    """Delta-typicality of (word, row) for every row of ``outputs``.
+
+    ``targets`` holds the scaled joint pmf n*p(a,b). A row passes when its
+    joint counts N(a,b) satisfy |N(a,b) - target| <= n*delta wherever the
+    target is positive and are exactly 0 wherever it is 0 (a slack of 0,
+    since counts are nonnegative). All counts come from one bincount over
+    row*|X||Y| + a*|Y| + b, so every letter must lie in range: an output
+    letter >= |Y| would be counted in the next cell.
+    """
+    rows, n = outputs.shape
+    cells = targets.size
+    flat = outputs + word * targets.shape[1]
+    flat += (np.arange(rows) * cells)[:, None]
+    counts = np.bincount(flat.ravel(), minlength=rows * cells).reshape(rows, cells)
+    t = targets.ravel()
+    slack = np.where(t == 0.0, 0.0, n * delta + _TIE_GUARD)
+    return (np.abs(counts - t) <= slack).all(axis=1)
 
 
 def is_jointly_typical(
@@ -330,9 +356,8 @@ def is_jointly_typical(
         raise ValueError("joint_pmf must be a matrix")
     if np.any(p < 0) or abs(float(p.sum()) - 1.0) > 1e-9:
         raise ValueError("joint_pmf must be a probability matrix")
-    jt = joint_type(x, y, p.shape[0], p.shape[1])
-    n = jt.n
-    return _joint_counts_ok(jt.matrix().astype(float), n * p, n * params.delta)
+    xa, ya = _aligned(x, y, p.shape[0], p.shape[1])
+    return bool(_typical_rows(xa, ya[None, :], xa.size * p, params.delta)[0])
 
 
 def _conditional_targets(word: np.ndarray, channel_matrix: np.ndarray) -> np.ndarray:
@@ -365,29 +390,13 @@ def enumerate_conditional_typical(
         )
 
     targets = _conditional_targets(word, w)
-    ndelta = n * params.delta
-    zero_mask = targets == 0.0
-    positions = [np.flatnonzero(word == a) for a in range(w.shape[0])]
-
     pows = out_size ** np.arange(n - 1, -1, -1, dtype=np.int64)
     accepted: list[np.ndarray] = []
     block = 1 << 16
     for start in range(0, total, block):
         idx = np.arange(start, min(start + block, total), dtype=np.int64)
         digits = (idx[:, None] // pows) % out_size
-        ok = np.ones(idx.size, dtype=bool)
-        for a in range(w.shape[0]):
-            if positions[a].size == 0:
-                continue
-            sub = digits[:, positions[a]]
-            for b in range(out_size):
-                cnt = (sub == b).sum(axis=1)
-                t = targets[a, b]
-                if zero_mask[a, b]:
-                    ok &= cnt == 0
-                else:
-                    ok &= np.abs(cnt - t) <= ndelta + _TIE_GUARD
-        # letters of x that never occur force N(a, b) = 0, which holds trivially
+        ok = _typical_rows(word, digits, targets, params.delta)
         if np.any(ok):
             accepted.append(digits[ok])
     if not accepted:

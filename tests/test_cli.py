@@ -6,7 +6,15 @@ import tracemalloc
 
 import pytest
 
-from di_codes import __version__, binary_entropy, dmc_code, dmc_to_dict, bsc
+from di_codes import (
+    __version__,
+    binary_entropy,
+    bsc,
+    discretized_entropy,
+    dmc_code,
+    dmc_to_dict,
+    entropy_defect,
+)
 from di_codes.cli import EXIT_BUDGET, EXIT_FAILURE, EXIT_OK, main
 
 ENVELOPE_KEYS = {"tool_version", "config", "seed", "timestamp", "payload"}
@@ -138,6 +146,8 @@ def test_discretize_payload_and_channel_output(tmp_path, capsys):
     assert p["entropy_defect"] == pytest.approx(
         p["entropy_plus_log_step"] - p["differential_entropy_limit"], abs=1e-12
     )
+    assert p["entropy_bits"] == discretized_entropy(1.0, 0.5, 4)
+    assert p["entropy_defect"] == entropy_defect(1.0, 0.5, 4)
     # the emitted channel is a valid input for the capacity command
     code, env = run_json(capsys, ["capacity", "--channel", str(out)])
     assert code == EXIT_OK

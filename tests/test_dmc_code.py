@@ -12,22 +12,30 @@ from hypothesis import strategies as st
 from di_codes import (
     BudgetError,
     ConstructionError,
+    Dmc,
     DmcCodebook,
+    GaussChannel,
+    TypicalityParams,
     bsc,
     build_codebook,
+    build_gauss_codebook,
     codebook_from_dict,
     codebook_to_dict,
     construction_base_type,
+    converse_count,
     di_capacity,
+    enumerate_conditional_typical,
     identify,
     input_cost,
+    intersection_ratio,
     same_codeword_conflict,
     simulate_errors,
+    simulate_gauss_errors,
     to_dmc,
     transmit_dmc,
     validate_codebook,
 )
-from di_codes import dmc_code, typicality
+from di_codes import dmc_code, stats, typicality
 from di_codes.dmc_code import drop_close_pairs, greedy_select, select_pairs
 from di_codes.typicality import empirical_type, hamming_distance
 
@@ -284,6 +292,11 @@ def test_identify_hand_case():
     assert not identify(cb, [0] * 10, 0)
     with pytest.raises(ValueError):
         identify(cb, [0] * 10, 1)
+    # Refused at the boundary: one bincount counts (row, x, y) cells, so an
+    # out-of-range letter would land in a neighbouring cell.
+    for bad in ([2] + [0] * 4 + [1] * 5, [-1] + [0] * 9, [0] * 9, [0] * 11):
+        with pytest.raises(ValueError):
+            identify(cb, bad, 0)
 
 
 # --- simulation ---
@@ -358,6 +371,56 @@ def test_duplicate_words_split_one_probability():
     assert res["regions_identical"]
     assert res["pe1_estimate"] + res["pe2_estimate"] == 1.0
     assert res["sum"] == 1.0
+
+
+def test_conflict_matches_per_sample_replay(monkeypatch):
+    ch = bsc(0.1, constraint=1.0)
+    words = np.tile(np.array([[0, 1] * 10]), (2, 1))
+    cb = DmcCodebook(channel=ch, words=words, epsilon=0.0, delta=0.05)
+    trials = 300
+    res = same_codeword_conflict(cb, 0, 1, trials=trials, seed=11)
+    rng = np.random.default_rng(np.random.SeedSequence(11))
+    misses = accepts = 0
+    for _ in range(trials):
+        y = transmit_dmc(ch, words[0], rng)
+        misses += not identify(cb, y, 0)
+        accepts += identify(cb, y, 1)
+    assert 0 < misses < trials
+    assert (res["pe1_estimate"], res["pe2_estimate"]) == (misses / trials, accepts / trials)
+    # Each decoder decides on its own: one that also looked at the message
+    # index would break the identity the acceptance check tests.
+    decide = dmc_code._decide
+    monkeypatch.setattr(dmc_code, "_decide", lambda c, k, ys: decide(c, k, ys) & (k == 0))
+    res = same_codeword_conflict(cb, 0, 1, trials=trials, seed=11)
+    assert res["pe2_estimate"] == 0.0 and res["sum"] == misses / trials
+
+
+def test_chunking_is_stream_equivalent(monkeypatch):
+    rng = np.random.default_rng(3)
+    bsc_cb = DmcCodebook(channel=bsc(0.1, constraint=1.0), words=rng.integers(0, 2, (6, 30)),
+                         epsilon=0.0, delta=0.06)
+    wide = to_dmc(1.0, 1.0, 0.5, 4).channel
+    wide_cb = DmcCodebook(channel=wide, words=rng.integers(0, 9, (5, 40)), epsilon=0.0, delta=0.1)
+    dup = DmcCodebook(channel=wide, words=wide_cb.words[[0, 0]], epsilon=0.0, delta=0.1)
+    gcb, _ = build_gauss_codebook(
+        GaussChannel(1.0, 2.0), n=8, epsilon=0.05, delta=0.1, seed=5,
+        probe_budget=2000, max_centers=64, probe_trials=64,
+    )
+
+    def reports():
+        return [
+            simulate_errors(bsc_cb, trials=300, seed=1, pair_budget=3).to_dict(),
+            simulate_errors(wide_cb, trials=100, seed=2, pair_budget=3).to_dict(),
+            same_codeword_conflict(dup, 0, 1, trials=100, seed=3),
+            simulate_gauss_errors(gcb, trials=2000, seed=4, pair_budget=3, message_budget=4).to_dict(),
+        ]
+
+    whole = reports()
+    # One row per chunk; then 116 + 116 + 68 BSC rows, 14 chunks of 7 wide
+    # rows and a last one of 2, and 875 + 875 + 250 Gaussian rows.
+    for scalars in (1, 7 * 40 * 25):
+        monkeypatch.setattr(stats, "_CHUNK_SCALARS", scalars)
+        assert reports() == whole
 
 
 def test_conflict_requires_equal_words_and_distinct_indices():
@@ -506,3 +569,64 @@ def test_golden_builds_replay_bit_for_bit():
     got = {key: (_sha(cb.words), _sha(rep.to_dict()), _sha(validate_codebook(cb)))
            for key, (cb, rep) in _golden_builds()}
     assert got == GOLDEN
+
+
+# sha256 of each output below as sorted-key JSON, recorded before the
+# typicality kernel and the Monte Carlo loop were shared between decoders,
+# simulators and enumeration; every seeded output must replay bit for bit.
+GOLDEN_OUTPUTS = {
+    "simulate-bsc": "1027df16a060a1b5a361110ba1a82bc9a7f4c9e30b4da8da785be6ea5f7d46d2",
+    "simulate-wide": "a8f1069cc78a2a2850642f3b38d9fe4c19b0e2d5b08cc2f4b7dc115b1cefa7fa",
+    "simulate-gauss": "9d64a08fd08fd830999f3ab1ac8eb85e8d3a25fe76e5538421ec3d63e2d6def7",
+    "conflict": "75d6b78b9b6db38a6474e28102b1b2cc7b34c2af452c083f5178d1de6df83a15",
+    "enumerate-0": "3932ed834b18cf9c12bf39d3f396a01820d9ccd58e1818d2af59f1be1b5f76b3",
+    "ratio-0": "32b0f62a35cf730d6a74a6cf4fa46cf436d9db90537449b46d908a303f49c85d",
+    "enumerate-1": "65698a966bcbfe3b64463253864c30fd3b5c39b73312f38dd9cce232c6bb9cc7",
+    "ratio-1": "35ed6d5332baf43fd05c15a42f767a8e13cdbce5a0953777b9b6dc71b3bc1e32",
+    "transmit": "08f0000a7c7d92b3a6d6191d47cda6a30ac070ca581879da49c36f6b319f1aa1",
+    "converse": "a36b66618a00dd90ce4474de852a9c19bcc861ec6ae5f2d48a605f577376179e",
+}
+
+
+def _golden_outputs():
+    ch = bsc(0.1, constraint=1.0)
+    cb, _ = build_codebook(ch, n=60, rate=0.1, epsilon=0.05, delta=0.06, seed=3, backoff=0.5)
+    yield "simulate-bsc", simulate_errors(
+        cb, trials=3000, seed=41, pair_budget=5, message_budget=4
+    ).to_dict()
+    wide = to_dmc(1.0, 1.0, 0.5, 4).channel
+    wcb, _ = build_codebook(wide, n=200, rate=0.05, epsilon=0.05, delta=0.03, seed=0)
+    yield "simulate-wide", simulate_errors(
+        wcb, trials=2000, seed=42, pair_budget=3, message_budget=3
+    ).to_dict()
+    gcb, _ = build_gauss_codebook(
+        GaussChannel(1.0, 2.0), n=8, epsilon=0.05, delta=0.1, seed=5,
+        probe_budget=2000, max_centers=64, probe_trials=64,
+    )
+    yield "simulate-gauss", simulate_gauss_errors(
+        gcb, trials=1500, seed=43, pair_budget=4, message_budget=5
+    ).to_dict()
+    words = wcb.words.copy()
+    words[1] = words[0]
+    dup = DmcCodebook(channel=wide, words=words, epsilon=0.0, delta=wcb.delta)
+    yield "conflict", same_codeword_conflict(dup, 0, 1, trials=3000, seed=44)
+    tern = Dmc(matrix=np.array([[0.7, 0.2, 0.1], [0.1, 0.6, 0.3]]), cost=(0.0, 1.0), constraint=1.0)
+    cases = [
+        (ch.matrix, [0] * 5 + [1] * 5 + [0, 1], [1] + [0] * 5 + [1] * 4 + [0, 1], 0.1),
+        (tern.matrix, [0, 1, 1, 0, 0, 1, 0, 1], [1, 0, 1, 0, 0, 1, 1, 0], 0.15),
+    ]
+    for k, (w, x1, x2, delta) in enumerate(cases):
+        params = TypicalityParams(delta)
+        yield f"enumerate-{k}", sorted(enumerate_conditional_typical(x1, w, params))
+        yield f"ratio-{k}", intersection_ratio(x1, x2, w, params)
+    rng = np.random.default_rng(np.random.SeedSequence(45))
+    yield "transmit", [transmit_dmc(wide, wcb.words[i], rng).tolist() for i in range(3)] + [
+        transmit_dmc(ch, cb.words[i], rng).tolist() for i in range(2)
+    ]
+    ch3 = Dmc(matrix=np.array([[0.8, 0.2], [0.5, 0.5], [0.1, 0.9]]), cost=(0.0, 1.0, 2.0),
+              constraint=0.7)
+    yield "converse", [list(converse_count(ch3, n)) for n in (10, 15, 20)]
+
+
+def test_golden_outputs_replay_bit_for_bit():
+    assert {key: _sha(out) for key, out in _golden_outputs()} == GOLDEN_OUTPUTS

@@ -67,6 +67,7 @@ def random_joint_pmf(rng, kx, ky, zero_cells=0):
 
 def test_matches_slow_oracle_across_random_cases():
     rng = np.random.default_rng(42)
+    batch_rng = np.random.default_rng(43)
     agreements = 0
     for _ in range(300):
         kx = int(rng.integers(2, 4))
@@ -80,6 +81,12 @@ def test_matches_slow_oracle_across_random_cases():
         want = slow_typical(x.tolist(), y.tolist(), pmf, delta)
         assert got == want
         agreements += 1
+        # The batched kernel behind it: 0-3 output rows, for x or for a word
+        # that never uses its last letter.
+        word = x if batch_rng.random() < 0.5 else batch_rng.integers(0, kx - 1, n)
+        ys = batch_rng.integers(0, ky, (int(batch_rng.integers(0, 4)), n))
+        got = typicality._typical_rows(word, ys, n * pmf, delta)
+        assert got.tolist() == [slow_typical(word.tolist(), r.tolist(), pmf, delta) for r in ys]
     assert agreements == 300
 
 
@@ -100,6 +107,11 @@ def test_zero_probability_cell_is_forbidden_regardless_of_delta():
 def test_rejects_malformed_pmf():
     with pytest.raises(ValueError):
         is_jointly_typical([0], [0], np.array([[0.5, 0.2], [0.1, 0.1]]), TypicalityParams(0.1))
+    # Letters out of range and length mismatches are refused, not counted.
+    pmf = np.full((2, 2), 0.25)
+    for x, y in (([0, 0], [2, 0]), ([0, 0], [0, -1]), ([0, 2], [0, 0]), ([0, 0], [0])):
+        with pytest.raises(ValueError):
+            is_jointly_typical(x, y, pmf, TypicalityParams(0.1))
 
 
 # --- enumeration ---
