@@ -67,37 +67,60 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_FAILURE, f"{self.prog}: error: {message}\n")
 
 
-def _json_safe(obj):
-    """Recursively replace non-finite floats; strict JSON has no Infinity."""
-    if isinstance(obj, dict):
-        return {k: _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
+def _json_chunks(obj, indent: str = ""):
+    """Yield the text ``json.dump(obj, fh, indent=2)`` writes, in chunks.
+
+    Arrays are written as lists; numpy scalars as Python numbers; non-finite
+    floats as the strings "inf", "-inf" and "nan", since strict JSON has no
+    Infinity. A list of only exact ints, or of only finite floats, is written
+    in one chunk with the reprs ``json`` itself uses; any other list goes item
+    by item. Strings, bools, None and dict keys are left to ``json``.
+    """
     if isinstance(obj, np.ndarray):
-        return _json_safe(obj.tolist())
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        obj = float(obj)
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return {math.inf: "inf", -math.inf: "-inf"}.get(obj, "nan")
-    return obj
+        obj = obj.tolist()
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        # json's own key conversion and escaping: '{KEY: null}'[1:-7]
+        items = [(json.dumps({k: None})[1:-7] + ": ", v) for k, v in obj.items()]
+        brackets = "{}"
+    elif isinstance(obj, (list, tuple)):
+        types = set(map(type, obj))
+        if types == {int} or (types == {float} and all(map(math.isfinite, obj))):
+            text = map(int.__repr__ if types == {int} else float.__repr__, obj)
+            yield "[\n" + inner + (",\n" + inner).join(text) + "\n" + indent + "]"
+            return
+        items = [("", v) for v in obj]
+        brackets = "[]"
+    else:
+        if isinstance(obj, np.integer):
+            obj = int(obj)
+        elif isinstance(obj, np.floating):
+            obj = float(obj)
+        if isinstance(obj, float) and not math.isfinite(obj):
+            obj = "nan" if math.isnan(obj) else "inf" if obj > 0 else "-inf"
+        yield json.dumps(obj)
+        return
+    if not items:
+        yield brackets
+        return
+    lead = brackets[0] + "\n" + inner
+    for prefix, value in items:
+        yield lead + prefix
+        yield from _json_chunks(value, inner)
+        lead = ",\n" + inner
+    yield "\n" + indent + brackets[1]
 
 
 def _emit(args: argparse.Namespace, payload: dict, seed: int | None = None) -> None:
-    config = {
-        k: _json_safe(v)
-        for k, v in sorted(vars(args).items())
-        if k != "func" and not k.startswith("_")
-    }
+    config = {k: v for k, v in sorted(vars(args).items()) if k != "func" and not k.startswith("_")}
     envelope = {
         "tool_version": __version__,
         "config": config,
         "seed": seed,
         "timestamp": datetime.now(timezone.utc).isoformat(),
-        "payload": _json_safe(payload),
+        "payload": payload,
     }
-    json.dump(envelope, sys.stdout, indent=2)
+    sys.stdout.writelines(_json_chunks(envelope))
     sys.stdout.write("\n")
 
 
@@ -108,7 +131,7 @@ def _load_json(path: str) -> dict:
 
 def _write_json(path: str, obj: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_json_safe(obj), fh, indent=2)
+        fh.writelines(_json_chunks(obj))
         fh.write("\n")
 
 
@@ -195,10 +218,10 @@ def _cmd_codebook_dmc(parser: _Parser, args: argparse.Namespace) -> int:
         backoff=args.backoff,
         cost_margin=args.cost_margin,
     )
-    payload = {"report": report.to_dict(), "validation": validate_codebook(codebook)}
+    report_dict = report.to_dict()
+    payload = {"report": report_dict, "validation": validate_codebook(codebook)}
     if args.output:
-        _write_json(args.output, {"codebook": codebook_to_dict(codebook),
-                                  "report": report.to_dict()})
+        _write_json(args.output, {"codebook": codebook_to_dict(codebook), "report": report_dict})
         payload["output"] = args.output
     else:
         payload["codebook"] = codebook_to_dict(codebook)
@@ -232,13 +255,14 @@ def _cmd_codebook_gauss(parser: _Parser, args: argparse.Namespace) -> int:
         max_centers=args.max_centers,
         probe_trials=args.probe_trials,
     )
+    certificate_dict = certificate.to_dict()
     payload = {
-        "certificate": certificate.to_dict(),
+        "certificate": certificate_dict,
         "min_center_distance": min_center_distance(codebook),
     }
     if args.output:
         _write_json(args.output, {"codebook": gauss_codebook_to_dict(codebook),
-                                  "certificate": certificate.to_dict()})
+                                  "certificate": certificate_dict})
         payload["output"] = args.output
     else:
         payload["codebook"] = gauss_codebook_to_dict(codebook)

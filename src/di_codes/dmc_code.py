@@ -52,10 +52,11 @@ _SCAN_ROWS = 256
 _SCAN_BYTES = 2**26
 
 # A build is refused before it allocates when its peak could pass this many
-# bytes. The words take up to 32 bytes a sampled symbol (int64, drawn into a
-# second array, then kept, spelled and stored); faithful mode adds 12 bytes a
-# sampled pair (int64 distances and the float32 agreements they come from),
-# greedy mode the scan's _SCAN_BYTES.
+# bytes. The words take up to 24 bytes a sampled symbol (int64: the sample,
+# the kept words in the channel's letters, then the codebook's copy); the
+# estimate allows 32. Faithful mode adds 12 bytes a sampled pair (int64
+# distances and the float32 agreements they come from), greedy mode the
+# scan's _SCAN_BYTES.
 _MAX_BUILD_BYTES = 2**32
 
 # Stands in for "no other word": larger than every Hamming distance.
@@ -314,10 +315,8 @@ def build_codebook(
     kept = int(keep.sum())
     if kept > _MAX_PAIRWISE_WORDS:
         min_distance = None  # reported only where validate_codebook reports it
-    kept_reduced = sampled[keep]
-
     reps = np.asarray(rmap.representative, dtype=np.int64)
-    words = reps[kept_reduced] if kept else np.empty((0, n), dtype=np.int64)
+    words = reps[sampled[keep]] if kept else np.empty((0, n), dtype=np.int64)
 
     base_counts = [0] * channel.input_size
     for c, rep in enumerate(rmap.representative):

@@ -273,7 +273,7 @@ def sample_type_class(et: EmpiricalType, count: int, rng: np.random.Generator) -
     base = canonical_word(et)
     words = np.tile(base, (count, 1)) if count else np.empty((0, et.n), dtype=np.int64)
     if count:
-        words = rng.permuted(words, axis=1)
+        rng.permuted(words, axis=1, out=words)
     return words
 
 
@@ -366,6 +366,33 @@ def _conditional_targets(word: np.ndarray, channel_matrix: np.ndarray) -> np.nda
     return counts[:, None] * channel_matrix
 
 
+def _enumeration(
+    x: Sequence[int] | np.ndarray, channel_matrix: np.ndarray, budget: int
+) -> tuple[np.ndarray, np.ndarray, Iterator[np.ndarray]]:
+    """x as a checked word, its targets for type(x) x W, and every output word.
+
+    The outputs come in lexicographic blocks of rows. Raises BudgetError when
+    |Y|^n exceeds ``budget``.
+    """
+    w = np.asarray(channel_matrix, dtype=float)
+    if w.ndim != 2:
+        raise ValueError("channel_matrix must be a matrix")
+    word = _as_word(x, w.shape[0], "x")
+    n, out_size = word.size, w.shape[1]
+    total = out_size**n
+    if total > budget:
+        raise BudgetError(
+            f"enumeration budget {budget} exceeded: |Y|^n = {out_size}^{n} = {total}"
+        )
+    pows = out_size ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    block = 1 << 16
+    outputs = (
+        (np.arange(start, min(start + block, total), dtype=np.int64)[:, None] // pows) % out_size
+        for start in range(0, total, block)
+    )
+    return word, _conditional_targets(word, w), outputs
+
+
 def enumerate_conditional_typical(
     x: Sequence[int] | np.ndarray,
     channel_matrix: np.ndarray,
@@ -377,32 +404,12 @@ def enumerate_conditional_typical(
     Enumerates all |Y|^n output words (blockwise, vectorized); raises
     BudgetError when |Y|^n exceeds ``budget``.
     """
-    w = np.asarray(channel_matrix, dtype=float)
-    if w.ndim != 2:
-        raise ValueError("channel_matrix must be a matrix")
-    word = _as_word(x, w.shape[0], "x")
-    n = word.size
-    out_size = w.shape[1]
-    total = out_size**n
-    if total > budget:
-        raise BudgetError(
-            f"enumeration budget {budget} exceeded: |Y|^n = {out_size}^{n} = {total}"
-        )
-
-    targets = _conditional_targets(word, w)
-    pows = out_size ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    accepted: list[np.ndarray] = []
-    block = 1 << 16
-    for start in range(0, total, block):
-        idx = np.arange(start, min(start + block, total), dtype=np.int64)
-        digits = (idx[:, None] // pows) % out_size
-        ok = _typical_rows(word, digits, targets, params.delta)
-        if np.any(ok):
-            accepted.append(digits[ok])
-    if not accepted:
-        return set()
-    stacked = np.concatenate(accepted, axis=0)
-    return {tuple(int(v) for v in row) for row in stacked}
+    word, targets, blocks = _enumeration(x, channel_matrix, budget)
+    accepted: set[tuple[int, ...]] = set()
+    for outputs in blocks:
+        ok = _typical_rows(word, outputs, targets, params.delta)
+        accepted.update(map(tuple, outputs[ok].tolist()))
+    return accepted
 
 
 def intersection_ratio(
@@ -415,20 +422,24 @@ def intersection_ratio(
     """|G(x1) ∩ G(x2)| / |G(x1)| for conditional typical sets G.
 
     Both words must share one empirical type, which also makes the ratio
-    symmetric in its arguments.
+    symmetric in its arguments. Both sets are counted on one enumeration,
+    never stored: the shared type gives both decoders the same targets.
     """
     w = np.asarray(channel_matrix, dtype=float)
-    t1 = empirical_type(x1, w.shape[0])
-    t2 = empirical_type(x2, w.shape[0])
-    if t1 != t2:
+    if empirical_type(x1, w.shape[0]) != empirical_type(x2, w.shape[0]):
         raise ValueError("x1 and x2 must have the same empirical type")
-    g1 = enumerate_conditional_typical(x1, w, params, budget)
+    word1, targets, blocks = _enumeration(x1, w, budget)
+    word2 = np.asarray(x2, dtype=np.int64)
+    g1 = both = 0
+    for outputs in blocks:
+        ok = _typical_rows(word1, outputs, targets, params.delta)
+        g1 += int(np.count_nonzero(ok))
+        both += int(np.count_nonzero(ok & _typical_rows(word2, outputs, targets, params.delta)))
     if not g1:
         raise DegenerateTypicalitySetError(
             "conditional typical set of x1 is empty; increase delta"
         )
-    g2 = enumerate_conditional_typical(x2, w, params, budget)
-    return len(g1 & g2) / len(g1)
+    return both / g1
 
 
 def apportion_counts(pmf: Sequence[float] | np.ndarray, n: int) -> EmpiricalType:

@@ -1,10 +1,15 @@
 """End-to-end command-line tests, run in process."""
 
+import hashlib
 import json
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from di_codes import (
     __version__,
@@ -15,7 +20,7 @@ from di_codes import (
     dmc_to_dict,
     entropy_defect,
 )
-from di_codes.cli import EXIT_BUDGET, EXIT_FAILURE, EXIT_OK, main
+from di_codes.cli import EXIT_BUDGET, EXIT_FAILURE, EXIT_OK, _json_chunks, main
 
 ENVELOPE_KEYS = {"tool_version", "config", "seed", "timestamp", "payload"}
 
@@ -261,3 +266,122 @@ def test_verify_rejects_unknown_check():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--check", "no-such-check"])
     assert exc.value.code == EXIT_FAILURE
+
+
+# sha256 of every output file and of every stdout envelope without its
+# timestamp line, recorded before the CLI's JSON encoder was replaced; the
+# files and envelopes must stay byte for byte what json.dump(indent=2) wrote.
+GOLDEN_CLI = {
+    "codebook-dmc": ("aa7d4c264ae16c8980f93d0ee37af36fbdb614057b78328bd3c1baa506f24fa6",
+                     "ff3f17cd96a9c6d94a0b6095afdf287e21e41faa203dfd06a7d2255cd813819b"),
+    "discretize": ("bafc9fc29acddb0b905cb24ddcb4e954239144bf513f4455238b4eff184d7eb0",
+                   "b937765351e70f1f33e965be29d16d882240c856d51a1d2c871bdf333000fa61"),
+    "codebook-dmc-wide": ("08f6af2c6bb8b84704f1ea01929f1f0aa27834295ae2766e2da7b103ec20b165",
+                          "095c9cf58fb8de9546f92097b795256879dc6eab386afb1f505bb0ef4d4a63e3"),
+    "codebook-gauss": ("7f6f11f0d15096d0699c5afe536bdbebfb347d76e9e0a51236cdb5923c887df9",
+                       "4f9da026c6ef220aeed852c598cff6fa82d3c84b184a061152ffb2ef709c777b"),
+    "reduce": ("0b03b96ec5a53c674c134963ea3274568b1a58f557968ddd377881799f0e0a5b",
+               "fc16cbba180740d650d3fe466b867554326b4bb86801a657f82c06c15a33837e"),
+    "capacity": ("4874d81e975643cdeb0bc8527fd96667d6957978e5651e7539b75a9c027a51ed", None),
+    "simulate-dmc": ("50885e2e15ef19882dabb09442edef1f25d76286f8b3cebaedeb7353dc530134", None),
+    "simulate-gauss": ("ca6f771ab33ab6dfa7b5fc0bae6f85007a46640ab05b4056fe20ba89203f04ec", None),
+}
+
+# Run in this order, in one directory: later commands read earlier outputs.
+GOLDEN_CLI_ARGV = {
+    "codebook-dmc": (["codebook-dmc", "--bsc", "0.1", "--n", "40", "--rate", "0.1",
+                      "--epsilon", "0.05", "--delta", "0.05", "--seed", "7", "--backoff", "0.3",
+                      "--output", "book.json"], "book.json"),
+    "discretize": (["discretize", "--sigma2", "1.0", "--power", "1.0", "--step", "0.5",
+                    "--input-j", "4", "--output", "chan.json"], "chan.json"),
+    "codebook-dmc-wide": (["codebook-dmc", "--channel", "chan.json", "--n", "30", "--rate", "0.2",
+                           "--epsilon", "0.05", "--delta", "0.05", "--seed", "3",
+                           "--mode", "greedy", "--output", "wide.json"], "wide.json"),
+    "codebook-gauss": (["codebook-gauss", "--n", "4", "--epsilon", "0.05", "--delta", "0.1",
+                        "--seed", "3", "--probe-budget", "2000", "--probe-trials", "256",
+                        "--output", "gauss.json"], "gauss.json"),
+    "reduce": (["reduce", "--channel", "dup.json", "--output", "red.json"], "red.json"),
+    "capacity": (["capacity", "--channel", "chan.json"], None),
+    "simulate-dmc": (["simulate-dmc", "--codebook", "book.json", "--trials", "50", "--seed", "3",
+                      "--pair-budget", "2"], None),
+    "simulate-gauss": (["simulate-gauss", "--codebook", "gauss.json", "--trials", "50",
+                        "--seed", "2", "--pair-budget", "2"], None),
+}
+
+
+def test_cli_files_and_envelopes_replay_byte_for_byte(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dup.json").write_text(json.dumps({
+        "input_size": 3, "output_size": 2, "matrix": [[0.9, 0.1], [0.1, 0.9], [0.9, 0.1]],
+        "cost": [0.0, 1.0, 2.0], "constraint": 2.0,
+    }))
+    got = {}
+    for name, (argv, output) in GOLDEN_CLI_ARGV.items():
+        assert main(argv) == EXIT_OK, name
+        lines = capsys.readouterr().out.splitlines(keepends=True)
+        envelope = "".join(line for line in lines if not line.startswith('  "timestamp": '))
+        assert len(envelope) < len("".join(lines))
+        file_sha = hashlib.sha256((tmp_path / output).read_bytes()).hexdigest() if output else None
+        got[name] = (hashlib.sha256(envelope.encode()).hexdigest(), file_sha)
+    assert got == GOLDEN_CLI
+
+
+def _old_json_safe(obj):
+    """The CLI's former conversion, applied before json.dump(indent=2): the oracle."""
+    if isinstance(obj, dict):
+        return {k: _old_json_safe(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_old_json_safe(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return _old_json_safe(obj.tolist())
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, (np.floating,)):
+        obj = float(obj)
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return {math.inf: "inf", -math.inf: "-inf"}.get(obj, "nan")
+    return obj
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_scalars = st.one_of(
+    st.integers(), st.floats(), st.booleans(), st.none(), st.text(),
+    st.integers(-2**63, 2**63 - 1).map(np.int64), st.integers(-2**31, 2**31 - 1).map(np.int32),
+    st.floats().map(np.float64), st.floats(width=32).map(np.float32),
+)
+_arrays = st.one_of(*(
+    hnp.arrays(dtype, hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=4), elements=elements)
+    for dtype, elements in [(np.int64, None), (np.float64, st.floats()), (np.bool_, None)]
+))
+_lists = st.one_of(
+    st.lists(st.integers()), st.lists(_finite), st.lists(st.floats()),
+    st.lists(st.one_of(st.integers(), _finite)), st.lists(st.one_of(st.integers(), st.booleans())),
+    st.lists(_finite).map(tuple),
+)
+_keys = st.one_of(st.text(), st.integers(), st.floats(), st.booleans(), st.none())
+_values = st.recursive(
+    st.one_of(_scalars, _arrays, _lists),
+    lambda inner: st.lists(inner, max_size=4) | st.tuples(inner, inner)
+    | st.dictionaries(_keys, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(obj=_values)
+def test_json_chunks_match_json_safe_then_indented_dump(obj):
+    assert "".join(_json_chunks(obj)) == json.dumps(_old_json_safe(obj), indent=2)
+
+
+def test_json_chunks_hand_cases():
+    cases = [
+        {}, [], {"a": []}, [[], {}], {1: [1, 2], "x": (0.5, -0.0)}, [True, 1], [1, 1.0],
+        [math.inf, -math.inf, math.nan, 1.0], np.arange(6).reshape(2, 3), np.float32(0.1),
+        np.array([[True, False]]), np.array(2.5), {"é\u2603": "snow ☃"}, [np.int64(3), 4],
+    ]
+    for obj in cases:
+        assert "".join(_json_chunks(obj)) == json.dumps(_old_json_safe(obj), indent=2)
+    # a row of numbers is one chunk, however long it is
+    def chunks(length):
+        return list(_json_chunks({"words": [[0, 1] * length, [0.5] * length]}))
+
+    assert len(chunks(1)) == len(chunks(500)) == 7

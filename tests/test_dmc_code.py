@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -209,6 +210,21 @@ def test_memory_budget_refusal_before_sampling(mode, monkeypatch):
     with pytest.raises(BudgetError, match="memory budget"):
         build_codebook(bsc(0.1, constraint=1.0), n=10**4, rate=0.002, epsilon=0.0,
                        delta=0.05, seed=1, backoff=0.0, mode=mode)
+
+
+@pytest.mark.parametrize("mode", ["faithful", "greedy"])
+def test_build_holds_at_most_three_copies_of_the_words(mode):
+    # Long words, all kept: the word arrays, not the distances, set the peak.
+    # The sample is shuffled in place and its kept rows are spelled in one step.
+    tracemalloc.start()
+    try:
+        cb, _ = build_codebook(bsc(0.1, constraint=1.0), n=20000, rate=6 / 20000, epsilon=0.0,
+                               delta=0.05, seed=1, backoff=0.0, mode=mode)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cb.word_count == 64
+    assert peak < 3.1 * cb.words.nbytes
 
 
 def test_greedy_mode_builds_valid_codebook():

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -165,6 +166,38 @@ def test_intersection_ratio_matches_brute_force():
     assert intersection_ratio(x1, x2, w, params) == len(g1 & g2) / len(g1)
 
 
+def test_enumeration_across_blocks_matches_binomial_counts():
+    # n = 17 gives 2^17 outputs, two enumeration blocks. Oracle: split the
+    # positions by (x1, x2) letters and count the outputs with k ones in each
+    # class, C(c, k) of them, whose joint counts pass both boxes.
+    w = bsc(0.1).matrix
+    x1 = np.array([0] * 9 + [1] * 8)
+    x2 = np.array([1, 0] * 4 + [0] * 5 + [1] * 4)
+    n, params = 17, TypicalityParams(0.15)
+
+    def typical(x_counts, ones):
+        return all(
+            abs(ones[a] - c * w[a, 1]) <= n * params.delta + 1e-9
+            and abs(c - ones[a] - c * w[a, 0]) <= n * params.delta + 1e-9
+            for a, c in enumerate(x_counts)
+        )
+
+    classes = {(a, b): int(np.sum((x1 == a) & (x2 == b))) for a in (0, 1) for b in (0, 1)}
+    size1 = both = 0
+    for k in itertools.product(*(range(c + 1) for c in classes.values())):
+        ones = dict(zip(classes, k))
+        weight = math.prod(math.comb(classes[ab], ones[ab]) for ab in classes)
+        ok1 = typical([classes[0, 0] + classes[0, 1], classes[1, 0] + classes[1, 1]],
+                      [ones[0, 0] + ones[0, 1], ones[1, 0] + ones[1, 1]])
+        ok2 = typical([classes[0, 0] + classes[1, 0], classes[0, 1] + classes[1, 1]],
+                      [ones[0, 0] + ones[1, 0], ones[0, 1] + ones[1, 1]])
+        size1 += weight * ok1
+        both += weight * (ok1 and ok2)
+    assert 0 < both < size1
+    assert len(enumerate_conditional_typical(x1, w, params)) == size1
+    assert intersection_ratio(x1, x2, w, params) == both / size1
+
+
 def test_intersection_ratio_requires_same_type():
     w = bsc(0.1).matrix
     with pytest.raises(ValueError):
@@ -259,6 +292,20 @@ def test_canonical_word_has_the_type():
     et = EmpiricalType((1, 0, 3), 4)
     w = canonical_word(et)
     assert empirical_type(w, 3) == et
+
+
+def test_sample_type_class_shuffles_in_place():
+    # Same words as a shuffled copy would give, without a second full array.
+    et = EmpiricalType((150, 50), 200)
+    copy = np.random.default_rng(3).permuted(np.tile(canonical_word(et), (5000, 1)), axis=1)
+    tracemalloc.start()
+    try:
+        words = sample_type_class(et, 5000, np.random.default_rng(3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(words, copy)
+    assert peak < 1.1 * words.nbytes
 
 
 def test_sample_type_class_rows_have_the_type():
