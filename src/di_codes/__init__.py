@@ -5,7 +5,9 @@ empirical verification for discrete memoryless channels with input costs and
 for the power-constrained Gaussian channel.
 
 Set DI_CODES_THREADS before importing to pin the BLAS/OpenMP pool size; the
-value is forwarded to the usual knobs if they are not already set.
+value is forwarded to the usual knobs if they are not already set. It also
+sets the worker threads of the Gaussian packing's large k-d-tree queries
+(capped at the usable CPUs); results do not depend on it.
 """
 
 import os as _os

@@ -120,10 +120,10 @@ class GaussChannel:
     power: float
 
     def __post_init__(self):
-        if not self.sigma2 > 0:
-            raise ValueError("sigma2 must be positive")
-        if not self.power > 0:
-            raise ValueError("power must be positive")
+        if not (self.sigma2 > 0 and math.isfinite(self.sigma2)):
+            raise ValueError("sigma2 must be a positive finite number")
+        if not (self.power > 0 and math.isfinite(self.power)):
+            raise ValueError("power must be a positive finite number")
 
 
 def bsc(crossover: float, cost: Sequence[float] = (0.0, 1.0), constraint: float = 1.0) -> Dmc:

@@ -16,7 +16,9 @@ or memory budget.
 
 Set DI_CODES_THREADS to pin the BLAS/OpenMP thread count; the value is
 exported before the numeric libraries spin up their pools (it takes effect
-as long as nothing imported numpy beforehand).
+as long as nothing imported numpy beforehand). It also sets the worker
+threads of the Gaussian packing's large k-d-tree queries; outputs do not
+depend on it.
 """
 
 from __future__ import annotations

@@ -20,6 +20,13 @@ two stages (see _covered): a (1+eps)-approximate nearest-neighbour query
 (Arya, Mount et al. 1998) settles most candidates as certainly covered, and
 only the rest take the exact query, so every decision is the exact one.
 
+One cover query serves a whole group of candidate batches (see _GROUP_CAP),
+yet every decision is a candidate-by-candidate scan's: the tree of the
+group's start only leaves more survivors to the dense checks, which cover
+every center it lacks with the scan's own arithmetic; batches drawn past the
+stop are discarded. Large tree queries run on DI_CODES_THREADS workers, and
+results do not depend on their number.
+
 The decoder thresholds the empirical noise energy: accept candidate j iff
 (1/n) * ||y - x_j||^2 <= sigma2 + delta. Chebyshev-style reference bounds for
 both error kinds (variance of the chi-square statistic plus, for type II, the
@@ -30,6 +37,7 @@ against the simulated rates; they assume the coupling eps >= 3 * delta.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -38,16 +46,27 @@ from scipy.spatial import cKDTree
 
 from .channels import GaussChannel, gauss_from_dict, gauss_to_dict
 from .errors import ConstructionError
-from .stats import DEFAULT_PAIR_BUDGET, SimReport, _closest_first_pairs, _in_chunks, _simulate
+from .stats import DEFAULT_PAIR_BUDGET, SimReport, _closest_first_pairs, _simulate
 
 DEFAULT_PROBE_BUDGET = 10**5
 DEFAULT_PROBE_TRIALS = 4096
 
 # Candidates are drawn from the stream in fixed-size batches; because the
 # batch size never adapts, the candidate sequence depends only on the seed,
-# no matter where the construction stops.
+# no matter where the construction stops. The loop takes them in groups of
+# 1, 2, 4, ... _GROUP_CAP batches with one cover query each; the small first
+# groups keep the pending block short while most candidates are accepted.
 _BATCH = 1024
 _PENDING_LIMIT = 512
+_GROUP_CAP = 32
+
+# Scalars in one probe block (its size fixes which probes are drawn, normals
+# then uniforms per block, so it must not change), in a group buffer at most
+# (at large n one batch is already a large query) and in a dense-check block.
+_PROBE_SCALARS, _GROUP_SCALARS, _DENSE_SCALARS = 2**22, 2**20, 2**17
+
+# Tree queries of fewer rows lose more to starting threads than they gain.
+_THREADED_ROWS = 8 * _BATCH
 
 # Approximation factor of the cover test's first stage; see _covered.
 _COVER_EPS = 3.0
@@ -73,8 +92,8 @@ class GaussCodebook:
             raise ValueError("centers must be an (L, n) array")
         if not 0.0 < self.epsilon < self.channel.power:
             raise ValueError("epsilon must lie strictly between 0 and the power")
-        if not self.delta >= 0.0:
-            raise ValueError("delta must be nonnegative")
+        if not (math.isfinite(self.delta) and self.delta >= 0.0):
+            raise ValueError("delta must be a nonnegative finite number")
         if c.size and float((c * c).sum(axis=1).max()) > self.channel.power + 1e-9:
             raise ValueError("a center violates the power constraint")
         c = c.copy()
@@ -169,13 +188,43 @@ def packing_lower_bound(power: float, epsilon: float, n: int) -> float:
     return 2.0 ** exponent
 
 
-def _sample_ball(rng: np.random.Generator, count: int, n: int, radius: float) -> np.ndarray:
-    """i.i.d. uniform points in the n-ball: Gaussian direction, radial U^(1/n)."""
-    g = rng.standard_normal((count, n))
+def _sample_ball(rng: np.random.Generator, count: int, n: int, radius: float, out=None) -> np.ndarray:
+    """i.i.d. uniform points in the n-ball, into ``out`` if given: Gaussian
+    direction, radial U^(1/n)."""
+    g = rng.standard_normal((count, n), out=out)
     norms = np.sqrt((g * g).sum(axis=1))
     norms[norms == 0.0] = 1.0
     u = rng.random(count)
-    return g * (radius * u ** (1.0 / n) / norms)[:, None]
+    g *= (radius * u ** (1.0 / n) / norms)[:, None]
+    return g
+
+
+def _worker_count() -> int:
+    """Query threads from DI_CODES_THREADS: 1 unless it is a positive
+    integer, and never more than the CPUs this process may run on."""
+    try:
+        workers = int(os.environ.get("DI_CODES_THREADS", "1"))
+    except ValueError:
+        return 1
+    return max(1, min(workers, len(os.sched_getaffinity(0))))
+
+
+def _query(tree: cKDTree, points: np.ndarray, **kwargs):
+    """``tree.query``, threaded when ``points`` has enough rows to gain."""
+    workers = _worker_count() if len(points) >= _THREADED_ROWS else 1
+    return tree.query(points, workers=workers, **kwargs)
+
+
+def _clear_of(centers: np.ndarray, points: np.ndarray, min_d2: float) -> np.ndarray:
+    """Mask of the points at squared distance >= min_d2 from every center,
+    with the candidate loop's arithmetic, in blocks of bounded size."""
+    clear = np.ones(len(points), dtype=bool)
+    if len(centers):
+        step = max(1, _DENSE_SCALARS // centers.size)
+        for i in range(0, len(points), step):
+            diff = centers - points[i:i + step, None]
+            clear[i:i + step] = (diff * diff).sum(axis=-1).min(axis=1) >= min_d2
+    return clear
 
 
 def _covered(tree: cKDTree, points: np.ndarray, radius: float) -> np.ndarray:
@@ -186,11 +235,11 @@ def _covered(tree: cKDTree, points: np.ndarray, radius: float) -> np.ndarray:
     its hits are certain. Only its misses are re-queried exactly; the mask
     is therefore the exact query's answer, at a fraction of its cost.
     """
-    near, _ = tree.query(points, k=1, eps=_COVER_EPS, distance_upper_bound=radius)
+    near, _ = _query(tree, points, k=1, eps=_COVER_EPS, distance_upper_bound=radius)
     hit = near < radius
     miss = np.flatnonzero(~hit)
     if miss.size:
-        near, _ = tree.query(points[miss], k=1, distance_upper_bound=radius)
+        near, _ = _query(tree, points[miss], k=1, distance_upper_bound=radius)
         hit[miss] = near < radius
     return hit
 
@@ -216,6 +265,8 @@ def build_gauss_codebook(
     """
     if n < 1:
         raise ValueError("n must be positive")
+    if not (math.isfinite(epsilon) and math.isfinite(delta) and delta >= 0.0):
+        raise ValueError("epsilon and delta must be finite, delta nonnegative")
     if probe_budget < 1:
         raise ValueError("probe_budget must be positive")
     if max_centers is not None and max_centers < 1:
@@ -238,21 +289,27 @@ def build_gauss_codebook(
     rejections = 0
     processed = 0
     stop_reason = None
+    cap = max(1, min(_GROUP_CAP, _GROUP_SCALARS // (_BATCH * n)))
+    group = np.empty((cap * _BATCH, n))
+    batches = 1
     while stop_reason is None:
-        batch = _sample_ball(rng, _BATCH, n, r1)
-        if tree is not None:
-            far_old = ~_covered(tree, batch, min_d)
-        else:
-            far_old = np.ones(_BATCH, dtype=bool)
-        # Only candidates clearing the indexed centers need individual
-        # treatment; the rejected runs between them advance the counters
-        # arithmetically, with the same outcome as a candidate-by-candidate
-        # scan. Rebuilding the tree after every accepting batch would swamp
-        # the run, so accepts pile up in a pending block that each survivor
-        # is checked against until the block is large enough to fold in.
+        cand = group[:batches * _BATCH]
+        for b in range(batches):
+            _sample_ball(rng, _BATCH, n, r1, out=cand[b * _BATCH:(b + 1) * _BATCH])
+        batches = min(2 * batches, cap)
+        survivors = (np.arange(len(cand)) if tree is None
+                     else np.flatnonzero(~_covered(tree, cand, min_d)))
+        survivors = survivors[_clear_of(kept_buf[tree_count:kept_count], cand[survivors], min_d2)]
+        # Only candidates clearing the tree and the pending block are checked
+        # one by one, against the centers accepted earlier in the group; the
+        # rejected runs between them (a candidate failing that check opens
+        # the next run) advance the counters arithmetically, as a scan would.
+        # Rebuilding the tree after every acceptance would swamp the run, so
+        # accepts pile up in the pending block until a group ends with it
+        # large enough to fold in.
+        group_start = kept_count
         pos = 0
-        for s in np.flatnonzero(far_old):
-            s = int(s)
+        for s in survivors.tolist() + [len(cand)]:  # the sentinel ends the last run
             run = s - pos
             if rejections + run >= probe_budget:
                 processed += probe_budget - rejections
@@ -260,35 +317,24 @@ def build_gauss_codebook(
                 stop_reason = "saturation"
                 break
             rejections += run
-            processed += run + 1
+            processed += run
+            pos = s
+            if s == len(cand):
+                break
+            if kept_count > group_start:
+                diff = kept_buf[group_start:kept_count] - cand[s]
+                if float((diff * diff).sum(axis=1).min()) < min_d2:
+                    continue
+            if kept_count == kept_buf.shape[0]:
+                kept_buf = np.concatenate([kept_buf, np.empty_like(kept_buf)])
+            kept_buf[kept_count] = cand[s]
+            kept_count += 1
+            processed += 1
             pos = s + 1
-            ok = True
-            if kept_count > tree_count:
-                diff = kept_buf[tree_count:kept_count] - batch[s]
-                ok = float((diff * diff).sum(axis=1).min()) >= min_d2
-            if ok:
-                if kept_count == kept_buf.shape[0]:
-                    kept_buf = np.concatenate([kept_buf, np.empty_like(kept_buf)])
-                kept_buf[kept_count] = batch[s]
-                kept_count += 1
-                rejections = 0
-                if max_centers is not None and kept_count >= max_centers:
-                    stop_reason = "center_cap"
-                    break
-            else:
-                rejections += 1
-                if rejections >= probe_budget:
-                    stop_reason = "saturation"
-                    break
-        else:
-            run = _BATCH - pos
-            if rejections + run >= probe_budget:
-                processed += probe_budget - rejections
-                rejections = probe_budget
-                stop_reason = "saturation"
-            else:
-                rejections += run
-                processed += run
+            rejections = 0
+            if max_centers is not None and kept_count >= max_centers:
+                stop_reason = "center_cap"
+                break
         if kept_count - tree_count >= _PENDING_LIMIT:
             tree = cKDTree(kept_buf[:kept_count])
             tree_count = kept_count
@@ -300,10 +346,10 @@ def build_gauss_codebook(
     if probe_trials and centers.size:
         final_tree = cKDTree(centers)
         probe_rng = np.random.default_rng(probe_stream)
-        covered = _in_chunks(
-            probe_trials, n,
-            lambda rows: int(_covered(final_tree, _sample_ball(probe_rng, rows, n, r1), min_d).sum()),
-        )
+        block = max(1, _PROBE_SCALARS // n)
+        for start in range(0, probe_trials, block):
+            probes = _sample_ball(probe_rng, min(block, probe_trials - start), n, r1)
+            covered += int(_covered(final_tree, probes, min_d).sum())
 
     certificate = SaturationCertificate(
         center_count=centers.shape[0],
@@ -351,8 +397,7 @@ def min_center_distance(codebook: GaussCodebook) -> float:
     """Smallest pairwise Euclidean distance between normalized centers."""
     if codebook.center_count < 2:
         return math.inf
-    tree = cKDTree(codebook.centers)
-    d, _ = tree.query(codebook.centers, k=2)
+    d, _ = _query(cKDTree(codebook.centers), codebook.centers, k=2)
     return float(d[:, 1].min())
 
 
@@ -383,7 +428,7 @@ def simulate_gauss_errors(
         return diff.sum(axis=1) / n <= threshold
 
     def closest() -> tuple[int, int]:
-        d, idx = cKDTree(codebook.centers).query(codebook.centers, k=2)
+        d, idx = _query(cKDTree(codebook.centers), codebook.centers, k=2)
         i = int(np.argmin(d[:, 1]))
         return i, int(idx[i, 1])
 

@@ -13,11 +13,9 @@ WILSON_Z = 1.96
 
 DEFAULT_PAIR_BUDGET = 8
 
-# Transmissions are generated in chunks of about this many scalars. For the
-# simulators chunking is stream-equivalent: the concatenated chunks reproduce
-# exactly the draws of one unchunked call on the same generator. The probe
-# pass of the Gaussian packing draws normals, then uniforms, per chunk, so
-# its probes depend on this size once probe_trials * n passes it.
+# Transmissions are generated in chunks of about this many scalars. Chunking
+# is stream-equivalent: the concatenated chunks reproduce exactly the draws
+# of one unchunked call on the same generator.
 _CHUNK_SCALARS = 2**22
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -244,25 +244,6 @@ def canonical_word(et: EmpiricalType) -> np.ndarray:
     return np.repeat(np.arange(et.alphabet_size, dtype=np.int64), et.counts)
 
 
-def enumerate_type_class(et: EmpiricalType) -> Iterator[tuple[int, ...]]:
-    """Yield every word of the class in lexicographic order. Small n only."""
-
-    def rec(prefix: list[int], counts: list[int], remaining: int):
-        if remaining == 0:
-            yield tuple(prefix)
-            return
-        for a in range(len(counts)):
-            if counts[a] == 0:
-                continue
-            counts[a] -= 1
-            prefix.append(a)
-            yield from rec(prefix, counts, remaining - 1)
-            prefix.pop()
-            counts[a] += 1
-
-    yield from rec([], list(et.counts), et.n)
-
-
 def sample_type_class(et: EmpiricalType, count: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``count`` words i.i.d. uniformly from the type class.
 
@@ -468,33 +449,3 @@ def apportion_counts(pmf: Sequence[float] | np.ndarray, n: int) -> EmpiricalType
         for i in order[:short]:
             counts[i] += 1
     return EmpiricalType(tuple(int(c) for c in counts), n)
-
-
-def typical_words(pmf: Iterable[float], n: int, delta: float) -> Iterator[EmpiricalType]:
-    """Yield every n-type within the delta box around ``pmf`` (support-exact)."""
-    p = np.asarray(list(pmf), dtype=float)
-    ndelta = n * delta
-
-    def rec(counts: list[int], used: int, a: int):
-        if a == p.size - 1:
-            last = n - used
-            counts.append(last)
-            t = n * p[-1]
-            if (p[-1] == 0.0 and last == 0) or (
-                p[-1] > 0.0 and abs(last - t) <= ndelta + _TIE_GUARD
-            ):
-                yield EmpiricalType(tuple(counts), n)
-            counts.pop()
-            return
-        t = n * p[a]
-        if p[a] == 0.0:
-            lo = hi = 0
-        else:
-            lo = max(0, math.ceil(t - ndelta - _TIE_GUARD))
-            hi = min(n - used, math.floor(t + ndelta + _TIE_GUARD))
-        for c in range(lo, hi + 1):
-            counts.append(c)
-            yield from rec(counts, used + c, a + 1)
-            counts.pop()
-
-    yield from rec([], 0, 0)

@@ -1,9 +1,12 @@
 """End-to-end command-line tests, run in process."""
 
 import hashlib
+import io
 import json
 import math
 import tracemalloc
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
@@ -12,9 +15,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from di_codes import (
+    GaussChannel,
     __version__,
     binary_entropy,
     bsc,
+    build_gauss_codebook,
     discretized_entropy,
     dmc_code,
     dmc_to_dict,
@@ -136,6 +141,30 @@ def test_gauss_round_trip(tmp_path, capsys):
     assert code == EXIT_OK
     assert "chebyshev" in env["payload"]
     assert env["payload"]["chebyshev"]["pe1"] > 0
+
+
+_GAUSS_ARGS = {"sigma2": 1.0, "power": 1.0, "epsilon": 0.05, "delta": 0.1}
+
+
+@given(name=st.sampled_from(sorted(_GAUSS_ARGS)), bad=st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_gauss_refuses_non_finite_input(name, bad):
+    # One parameter non-finite: the API raises ValueError and the CLI exits 1
+    # with a message, before any numeric warning and without a payload.
+    args = dict(_GAUSS_ARGS, **{name: bad})
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            build_gauss_codebook(
+                GaussChannel(args["sigma2"], args["power"]), n=3, epsilon=args["epsilon"],
+                delta=args["delta"], seed=1, probe_budget=50, probe_trials=10,
+            )
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["codebook-gauss", "--n", "3", "--seed", "1", "--probe-budget", "50",
+                         "--probe-trials", "10", *(f"--{k}={v}" for k, v in args.items())])
+    assert code == EXIT_FAILURE
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("di-codes: error:") and "finite" in err.getvalue()
 
 
 def test_discretize_payload_and_channel_output(tmp_path, capsys):

@@ -1,6 +1,9 @@
 """Gaussian packing construction, decoding, and simulation tests."""
 
+import hashlib
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from di_codes import (
     packing_radii,
     simulate_gauss_errors,
 )
+from di_codes import gauss_code, stats
 from di_codes.gauss_code import _BATCH, _PENDING_LIMIT, _sample_ball
 
 
@@ -149,9 +153,15 @@ def _greedy_dense_reference(n, epsilon, probe_budget, seed, probe_trials):
     return centers, processed, covered
 
 
-def test_tree_cover_test_matches_dense_greedy_scan():
+@pytest.mark.parametrize("workers", ["1", "2"], ids=["1-worker", "2-workers"])
+@pytest.mark.parametrize("group_cap", [None, 2], ids=["groups", "groups-of-2"])
+def test_tree_cover_test_matches_dense_greedy_scan(monkeypatch, workers, group_cap):
     # enough centers for two tree rebuilds, so most decisions go through the
-    # k-d tree's cover test rather than the pending dense scan
+    # k-d tree's cover test rather than the pending dense scan; with the
+    # group cap at 2, rebuilds fall at group ends and the stop inside a group
+    monkeypatch.setenv("DI_CODES_THREADS", workers)
+    if group_cap is not None:
+        monkeypatch.setattr(gauss_code, "_GROUP_CAP", group_cap)
     n, epsilon, budget, seed, trials = 4, 0.01, 2000, 7, 500
     cb, cert = build_gauss_codebook(
         GaussChannel(1.0, 1.0), n=n, epsilon=epsilon, delta=0.1, seed=seed,
@@ -164,6 +174,73 @@ def test_tree_cover_test_matches_dense_greedy_scan():
     assert cert.consecutive_rejections == budget
     assert cert.candidates_processed == processed
     assert cert.probe_covered == covered
+
+
+# sha256 of centers.tobytes() and of certificate.to_dict() as sorted-key
+# JSON, recorded before the candidate loop worked on groups of batches: the
+# dense-scan fixture above, one gauss-pack benchmark build, a center cap and
+# a saturation stop that both land inside a group of batches.
+PIN_BUILDS = {
+    "dense-fixture": dict(n=4, epsilon=0.01, seed=7, probe_budget=2000, probe_trials=500),
+    "gauss-pack": dict(n=5, epsilon=0.01, seed=621, probe_budget=10**4, probe_trials=4096),
+    "cap-mid-group": dict(
+        n=4, epsilon=0.01, seed=7, probe_budget=2000, probe_trials=500, max_centers=1000
+    ),
+    "saturation-mid-group": dict(n=3, epsilon=0.02, seed=3, probe_budget=3000, probe_trials=500),
+}
+GOLDEN_BUILDS = {
+    "dense-fixture": (
+        "c9227695927ff5d6f1a8337cb4a2353aeed59b2841f0c5d5ad3409a5588ec61f",
+        "d4952a67efac6907c2ff2afbe3acad506327f40ae3ddb8989711b45b86f59222",
+    ),
+    "gauss-pack": (
+        "827a271c18b67520b3c47271806e9c12ce4b018cfa8f4643db53457167c0878f",
+        "93c1bdd421b1b571af0ece587a1d342bea464392b9e7f0f270987d2cb787bb9e",
+    ),
+    "cap-mid-group": (
+        "950fe7f37c871b2a56c196370ff240d46089468d9e89be57ca8a5d05da46c1c4",
+        "86ae1a762103ff337837fe7be38798987a72ea9ecb60dcba30ca1116d4824371",
+    ),
+    "saturation-mid-group": (
+        "3b76ae8b410e69d784a722cf038b03b9d9a633a137c0fcb90365bbacf7580788",
+        "61160d18806728f046e4049bb8a5517f96d7ac7abde5843c7ab4ed092165161e",
+    ),
+}
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("key", sorted(PIN_BUILDS))
+def test_golden_gauss_builds_replay_bit_for_bit(monkeypatch, key, workers):
+    monkeypatch.setenv("DI_CODES_THREADS", workers)
+    cb, cert = build_gauss_codebook(GaussChannel(1.0, 1.0), delta=0.1, **PIN_BUILDS[key])
+    got = (
+        hashlib.sha256(cb.centers.tobytes()).hexdigest(),
+        hashlib.sha256(json.dumps(cert.to_dict(), sort_keys=True).encode()).hexdigest(),
+    )
+    assert got == GOLDEN_BUILDS[key]
+
+
+def test_probe_pass_ignores_the_simulators_chunk_size(monkeypatch):
+    # 600 000 probes at n = 8 span two probe blocks of 2**22 // 8 rows; the
+    # count read 9434 when the probe pass followed stats._CHUNK_SCALARS = 2**20.
+    monkeypatch.setattr(stats, "_CHUNK_SCALARS", 2**20)
+    _, cert = build_gauss_codebook(
+        GaussChannel(1.0, 2.0), n=8, epsilon=0.05, delta=0.1, seed=5,
+        max_centers=64, probe_trials=600_000,
+    )
+    assert cert.probe_covered == 9457
+
+
+def test_worker_count_parses_di_codes_threads(monkeypatch):
+    # Only the parsed value is checked; no query runs with these settings.
+    cpus = len(os.sched_getaffinity(0))
+    monkeypatch.delenv("DI_CODES_THREADS", raising=False)
+    assert gauss_code._worker_count() == 1
+    cases = {"abc": 1, "2.5": 1, "": 1, "0": 1, "-3": 1, "1": 1, "2": min(2, cpus),
+             " 3 ": min(3, cpus), str(10**9): cpus}
+    for value, want in cases.items():
+        monkeypatch.setenv("DI_CODES_THREADS", value)
+        assert gauss_code._worker_count() == want, value
 
 
 def test_build_rejects_epsilon_filling_the_ball():

@@ -31,7 +31,7 @@ from di_codes import (
     type_class_size,
 )
 from di_codes import typicality
-from di_codes.typicality import canonical_word, enumerate_type_class, sample_type_class, typical_words
+from di_codes.typicality import canonical_word, sample_type_class
 
 GUARD = 1e-9
 
@@ -279,6 +279,25 @@ def test_binary_entropy_values():
 # --- types ---
 
 
+def enumerate_type_class(et):
+    """Every word of the class in lexicographic order. Small n only."""
+
+    def rec(prefix, counts, remaining):
+        if remaining == 0:
+            yield tuple(prefix)
+            return
+        for a in range(len(counts)):
+            if counts[a] == 0:
+                continue
+            counts[a] -= 1
+            prefix.append(a)
+            yield from rec(prefix, counts, remaining - 1)
+            prefix.pop()
+            counts[a] += 1
+
+    yield from rec([], list(et.counts), et.n)
+
+
 def test_type_class_size_and_enumeration_agree():
     et = EmpiricalType((2, 2, 1), 5)
     members = list(enumerate_type_class(et))
@@ -286,6 +305,18 @@ def test_type_class_size_and_enumeration_agree():
     assert len(set(members)) == len(members)
     for w in members:
         assert empirical_type(np.array(w), 3) == et
+
+
+def test_sample_type_class_is_uniform_over_the_class():
+    # 30 000 draws over the 30 words of the class: each count is
+    # Binomial(30 000, 1/30), mean 1000 and standard deviation 31.
+    et = EmpiricalType((2, 2, 1), 5)
+    members = list(enumerate_type_class(et))
+    rows = sample_type_class(et, 30_000, np.random.default_rng(12))
+    counts = {w: 0 for w in members}
+    for w in map(tuple, rows.tolist()):
+        counts[w] += 1  # a KeyError would mean a word outside the class
+    assert all(abs(c - 1000) <= 5 * 31 for c in counts.values())
 
 
 def test_canonical_word_has_the_type():
@@ -349,18 +380,6 @@ def test_apportion_counts_is_a_nearest_type(n, raw):
 def test_apportion_counts_exact_on_integer_multiples():
     assert apportion_counts([0.25, 0.75], 4).counts == (1, 3)
     assert apportion_counts([0.5, 0.5], 10).counts == (5, 5)
-
-
-def test_typical_words_matches_composition_filter():
-    pmf = [0.6, 0.4]
-    n, delta = 8, 0.1
-    got = {et.counts for et in typical_words(pmf, n, delta)}
-    want = set()
-    for k in range(n + 1):
-        counts = (k, n - k)
-        if all(abs(c - n * p) <= n * delta + GUARD for c, p in zip(counts, pmf)):
-            want.add(counts)
-    assert got == want
 
 
 def test_joint_type_marginals():
