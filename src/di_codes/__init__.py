@@ -4,19 +4,21 @@ Capacity computation, codebook construction, identification decoding, and
 empirical verification for discrete memoryless channels with input costs and
 for the power-constrained Gaussian channel.
 
-Set DI_CODES_THREADS before importing to pin the BLAS/OpenMP pool size; the
-value is forwarded to the usual knobs if they are not already set. It also
-sets the worker threads of the Gaussian packing's large k-d-tree queries
-(capped at the usable CPUs); results do not depend on it.
+Set DI_CODES_THREADS before importing to pin the BLAS/OpenMP pool size: a
+positive integer (capped at the usable CPUs) is forwarded to the usual knobs
+if they are not already set, anything else is ignored. It also sets the
+Gaussian packing's k-d-tree query threads; results do not depend on it.
 """
 
 import os as _os
 
-_threads = _os.environ.get("DI_CODES_THREADS")
+from ._threads import env_threads as _env_threads
+
+_threads = _env_threads()
 if _threads:
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        _os.environ.setdefault(_var, _threads)
-del _os, _threads
+        _os.environ.setdefault(_var, str(_threads))
+del _os, _threads, _env_threads
 
 from .acceptance import CHECKS, CheckResult, format_line, run_checks
 from .capacity import (

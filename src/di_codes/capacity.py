@@ -143,7 +143,7 @@ def max_entropy_pmf(cost: Sequence[float] | np.ndarray, limit: float) -> Capacit
     lam = 0.5 * (lo + hi)
     p = _gibbs_pmf(c, lam)
     gap = abs(float(p @ c) - limit)
-    if gap > 1e-10:
+    if not gap <= 1e-10:
         raise RuntimeError(f"cost bisection failed to converge: residual {gap}")
     return CapacityResult(
         value_bits=entropy_bits(p),

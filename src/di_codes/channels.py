@@ -5,7 +5,8 @@ whose transition matrix contains identical rows are handled through
 ``reduce_channel``, which merges duplicate rows and keeps the cheapest letter
 of each class as its representative; replacing letters by their representatives
 changes nothing an output observer (or decoder) can see, so error quantities
-computed on the reduced channel match the original ones exactly.
+computed on the reduced channel match the original ones exactly. DMC outputs
+are drawn by inverse cdf through an exact guide table (``_transmit_rows``).
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from .errors import InfeasibleConstraintError
 # Two rows are the same letter "seen from the output" when they agree entrywise
 # to this tolerance.
 ROW_MERGE_TOL = 1e-12
+
+_GUIDE_CELLS = 2**12  # cells of [0, 1) a letter in the DMC sampler's guide table
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -49,8 +52,8 @@ class Dmc:
         mat = np.asarray(self.matrix, dtype=np.float64)
         if mat.ndim != 2 or mat.shape[0] < 1 or mat.shape[1] < 1:
             raise ValueError("matrix must be a nonempty 2-D array")
-        if np.any(mat < -1e-12):
-            raise ValueError("matrix entries must be nonnegative")
+        if not (np.isfinite(mat).all() and (mat >= -1e-12).all()):
+            raise ValueError("matrix entries must be finite and nonnegative")
         mat = np.clip(mat, 0.0, None)
         row_sums = mat.sum(axis=1)
         if np.any(np.abs(row_sums - 1.0) > 1e-12):
@@ -58,8 +61,8 @@ class Dmc:
         cost = np.asarray(self.cost, dtype=np.float64)
         if cost.shape != (mat.shape[0],):
             raise ValueError("cost must have one entry per input letter")
-        if np.any(cost < 0):
-            raise ValueError("letter costs must be nonnegative")
+        if not (np.isfinite(cost).all() and (cost >= 0).all()):
+            raise ValueError("letter costs must be finite and nonnegative")
         notes = tuple(self.notes)
         a = float(self.constraint)
         if not math.isfinite(a):
@@ -177,15 +180,39 @@ def transmit_dmc(channel: Dmc, codeword: Sequence[int] | np.ndarray, rng: np.ran
         raise ValueError("codeword must be one-dimensional")
     if word.size and (word.min() < 0 or word.max() >= channel.input_size):
         raise ValueError("codeword letter outside the input alphabet")
-    return _transmit_rows(channel.matrix, word, rng, 1)[0]
+    return _transmit_rows(_guide_table(channel.matrix), word, rng, 1)[0]
 
 
-def _transmit_rows(matrix: np.ndarray, word: np.ndarray, rng: np.random.Generator, rows: int) -> np.ndarray:
-    """``rows`` i.i.d. output blocks for ``word``, one uniform per symbol in
-    row order; stream-equivalent to ``rows`` calls of ``transmit_dmc``."""
-    cum = np.cumsum(matrix, axis=1)[word, :-1]
+def _guide_table(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """The cumulative rows less their last entry, and (None for binary outputs)
+    the guide table: entry a·K + g, K = _GUIDE_CELLS, is the output of input a
+    for every u in [g/K, (g+1)/K), or -1 if a threshold of row a lies inside."""
+    cum = np.cumsum(matrix, axis=1)[:, :-1]
+    if cum.shape[1] == 1:
+        return cum, None
+    grid = np.arange(_GUIDE_CELLS + 1) / _GUIDE_CELLS
+    lo = np.array([np.searchsorted(c, grid[:-1], "right") for c in cum], dtype=np.int32)
+    hi = np.array([np.searchsorted(c, grid[1:], "left") for c in cum], dtype=np.int32)
+    return cum, np.where(lo == hi, lo, -1).ravel()
+
+
+def _transmit_rows(guide: tuple, word: np.ndarray, rng: np.random.Generator, rows: int) -> np.ndarray:
+    """``rows`` i.i.d. output blocks for ``word``, one uniform per symbol in row
+    order (stream-equivalent to ``rows`` calls of ``transmit_dmc``): each output
+    counts the thresholds c <= u of its letter's cumulative row, read from
+    ``_guide_table`` (Chen and Asau; Devroye 1986, §III.2). This is exact: u is
+    a multiple of 2^-53, so u·K and its floor g are exact, and a cumulative row
+    of finite nonnegative entries never decreases, so the count lies between
+    #{c <= g/K} and #{c < (g+1)/K}; cells where these differ (at most |Y|-1 a
+    letter) fall back to counting. Binary outputs keep the faster comparison."""
+    cum, table = guide
     u = rng.random((rows, word.size))
-    return (cum <= u[:, :, None]).sum(axis=2, dtype=np.int64)
+    if table is None:
+        return (cum[word, 0] <= u).astype(np.int64)
+    out = table.take((u * _GUIDE_CELLS).astype(np.int32) + word.astype(np.int32) * _GUIDE_CELLS)
+    miss = np.flatnonzero(out < 0)
+    out.flat[miss] = (cum[word[miss % word.size]] <= u.flat[miss][:, None]).sum(axis=1)
+    return out.astype(np.int64)
 
 
 def transmit_gauss(channel: GaussChannel, codeword: Sequence[float] | np.ndarray, rng: np.random.Generator) -> np.ndarray:

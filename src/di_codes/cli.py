@@ -14,11 +14,11 @@ Exit codes: 0 on success, 1 on usage errors and failed verification checks,
 2 when a computation refuses to start because it would exceed an enumeration
 or memory budget.
 
-Set DI_CODES_THREADS to pin the BLAS/OpenMP thread count; the value is
-exported before the numeric libraries spin up their pools (it takes effect
-as long as nothing imported numpy beforehand). It also sets the worker
-threads of the Gaussian packing's large k-d-tree queries; outputs do not
-depend on it.
+Set DI_CODES_THREADS to pin the BLAS/OpenMP thread count; a positive integer
+(capped at the usable CPUs) is exported before the numeric libraries spin up
+their pools, as long as nothing imported numpy beforehand. It also sets the
+worker threads of the Gaussian packing's large k-d-tree queries; outputs do
+not depend on it.
 """
 
 from __future__ import annotations

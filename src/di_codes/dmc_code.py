@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .capacity import entropy_bits, max_entropy_pmf
-from .channels import Dmc, _transmit_rows, dmc_from_dict, dmc_to_dict, input_cost, reduce_channel
+from .channels import Dmc, _guide_table, _transmit_rows, dmc_from_dict, dmc_to_dict, input_cost, reduce_channel
 from .errors import BudgetError, ConstructionError
 from .stats import DEFAULT_PAIR_BUDGET, SimReport, _closest_first_pairs, _in_chunks, _simulate
 from .typicality import (
@@ -91,8 +91,8 @@ class DmcCodebook:
             raise ValueError("codeword letter outside the input alphabet")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError("epsilon must lie in [0, 1]")
-        if not self.delta >= 0.0:
-            raise ValueError("delta must be nonnegative")
+        if not (self.delta >= 0.0 and math.isfinite(self.delta)):
+            raise ValueError("delta must be a nonnegative finite number")
         if self.base is not None and self.base.n != w.shape[1]:
             raise ValueError("base type length disagrees with the words")
         w = w.copy()
@@ -161,8 +161,8 @@ def construction_base_type(channel: Dmc, n: int, cost_margin: float = 0.0) -> Em
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if cost_margin < 0:
-        raise ValueError("cost_margin must be nonnegative")
+    if not (cost_margin >= 0 and math.isfinite(cost_margin)):
+        raise ValueError("cost_margin must be a nonnegative finite number")
     result = max_entropy_pmf(channel.cost, channel.constraint)
     et = apportion_counts(result.maximizer, n)
     counts = np.asarray(et.counts, dtype=np.int64)
@@ -270,14 +270,16 @@ def build_codebook(
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if rate < 0:
-        raise ValueError("rate must be nonnegative")
+    if not (rate >= 0 and math.isfinite(rate)):
+        raise ValueError("rate must be a nonnegative finite number")
     if mode not in ("faithful", "greedy"):
         raise ValueError("mode must be 'faithful' or 'greedy'")
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError("epsilon must lie in [0, 1]")
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
+    if not (delta >= 0 and math.isfinite(delta)):
+        raise ValueError("delta must be a nonnegative finite number")
+    if backoff is not None and not math.isfinite(backoff):
+        raise ValueError("backoff must be finite")
 
     reduced, rmap = reduce_channel(channel)
     if backoff is None:
@@ -414,10 +416,10 @@ def simulate_errors(
     message_budget = None evaluates every message; an integer evaluates an
     evenly spaced subset of that size.
     """
-    matrix = codebook.channel.matrix
+    guide = _guide_table(codebook.channel.matrix)
 
     def accepts(i: int, j: int, rng: np.random.Generator, rows: int) -> np.ndarray:
-        return _decide(codebook, j, _transmit_rows(matrix, codebook.words[i], rng, rows))
+        return _decide(codebook, j, _transmit_rows(guide, codebook.words[i], rng, rows))
 
     return _simulate(
         codebook.word_count, trials, seed, message_budget,
@@ -445,9 +447,10 @@ def same_codeword_conflict(codebook: DmcCodebook, i: int, j: int, trials: int, s
     if trials < 1:
         raise ValueError("trials must be positive")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
+    guide = _guide_table(codebook.channel.matrix)
 
     def accepted(rows: int) -> np.ndarray:
-        outputs = _transmit_rows(codebook.channel.matrix, codebook.words[i], rng, rows)
+        outputs = _transmit_rows(guide, codebook.words[i], rng, rows)
         return np.array([_decide(codebook, k, outputs).sum() for k in (i, j)])
 
     row_scalars = codebook.block_length * codebook.channel.output_size

@@ -37,13 +37,13 @@ against the simulated rates; they assume the coupling eps >= 3 * delta.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
 
+from ._threads import env_threads
 from .channels import GaussChannel, gauss_from_dict, gauss_to_dict
 from .errors import ConstructionError
 from .stats import DEFAULT_PAIR_BUDGET, SimReport, _closest_first_pairs, _simulate
@@ -200,13 +200,8 @@ def _sample_ball(rng: np.random.Generator, count: int, n: int, radius: float, ou
 
 
 def _worker_count() -> int:
-    """Query threads from DI_CODES_THREADS: 1 unless it is a positive
-    integer, and never more than the CPUs this process may run on."""
-    try:
-        workers = int(os.environ.get("DI_CODES_THREADS", "1"))
-    except ValueError:
-        return 1
-    return max(1, min(workers, len(os.sched_getaffinity(0))))
+    """Query threads from DI_CODES_THREADS (``env_threads``), else 1."""
+    return env_threads() or 1
 
 
 def _query(tree: cKDTree, points: np.ndarray, **kwargs):

@@ -110,8 +110,8 @@ class TypicalityParams:
     delta: float
 
     def __post_init__(self):
-        if not self.delta >= 0.0:
-            raise ValueError("delta must be nonnegative")
+        if not (self.delta >= 0.0 and math.isfinite(self.delta)):
+            raise ValueError("delta must be a nonnegative finite number")
 
 
 def _as_word(seq: Sequence[int] | np.ndarray, alphabet_size: int, name: str) -> np.ndarray:

@@ -85,6 +85,19 @@ def test_constraint_below_cheapest_cost_raises():
         max_entropy_pmf((1.0, 2.0), 0.5)
 
 
+def test_bisection_refuses_a_nan_residual():
+    # Every comparison with NaN is False, so only "not (gap <= tol)" catches it.
+    for cost, limit in (((0.0, 1.0), math.nan), ((0.0, math.nan, 1.0), 0.5)):
+        with pytest.raises(RuntimeError, match="residual nan"):
+            max_entropy_pmf(cost, limit)
+
+
+def test_estimate_L_refuses_an_infinite_delta():
+    # delta = inf makes every output typical: a ratio of 1 and a rate of 0.0.
+    with pytest.raises(ValueError, match="finite"):
+        estimate_L(bsc(0.1), 0.1, math.inf, [6, 8])
+
+
 def test_constraint_is_met_and_entropy_maximal():
     rng = np.random.default_rng(17)
     for _ in range(40):

@@ -18,7 +18,9 @@ from di_codes import (
     reduce_channel,
     transmit_dmc,
     transmit_gauss,
+    to_dmc,
 )
+from di_codes.channels import _GUIDE_CELLS, _guide_table, _transmit_rows
 
 
 def test_bsc_matrix_and_cost():
@@ -134,6 +136,94 @@ def test_transmit_matches_inverse_cdf_oracle():
         [int(np.searchsorted(cdf[a][:-1], ui, side="right")) for a, ui in zip(word, u)]
     )
     assert np.array_equal(got, want)
+
+
+class _Uniforms:
+    """Stands in for a Generator whose ``random`` returns the given uniforms."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, shape):
+        return self.u.reshape(shape)
+
+
+def _transmit_definition(matrix, word, u):
+    return (np.cumsum(matrix, 1)[word, :-1] <= u[:, :, None]).sum(axis=2)
+
+
+def _assert_table_marks_inner_thresholds(matrix):
+    # A cell is marked exactly when a threshold lies strictly inside it;
+    # thresholds on the grid are resolved by the table itself.
+    cum, table = _guide_table(matrix)
+    if table is None:
+        return
+    scaled = cum * _GUIDE_CELLS  # exact: a power-of-two scaling
+    inner = {(a, int(s)) for a, row in enumerate(scaled) for s in row if s < _GUIDE_CELLS and s != int(s)}
+    marked = set(zip(*np.nonzero(table.reshape(len(cum), _GUIDE_CELLS) < 0)))
+    assert marked == inner
+
+
+@st.composite
+def _stochastic_matrices(draw):
+    """Row-stochastic matrices: random with zero entries and deterministic
+    rows, dyadic with every threshold on a grid point of the guide table, or
+    dyadic with the thresholds moved by a few multiples of 2^-52 either way."""
+    x, y = draw(st.integers(1, 8)), draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["random", "grid", "beside"]))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "random":
+        m = g.random((x, y)) * (g.random((x, y)) < g.random())
+        onehot = g.random(x) < 0.3
+        m[onehot] = np.eye(y)[g.integers(0, y, onehot.sum())]
+        m[m.sum(axis=1) == 0, g.integers(0, y)] = 1.0
+        m /= m.sum(axis=1, keepdims=True)
+    else:
+        cuts = np.sort(g.integers(0, _GUIDE_CELLS + 1, (x, y - 1)), axis=1) / _GUIDE_CELLS
+        if kind == "beside":
+            cuts = np.sort(np.clip(cuts + g.integers(-3, 4, cuts.shape) * 2.0**-52, 0.0, 1.0), axis=1)
+        m = np.diff(cuts, prepend=0.0, append=1.0, axis=1)
+    return Dmc(matrix=m, cost=np.zeros(x), constraint=0.0).matrix
+
+
+@given(
+    matrix=_stochastic_matrices(),
+    rows=st.integers(1, 4),
+    n=st.integers(0, 60),
+    seed=st.integers(0, 2**32 - 1),
+    targeted=st.booleans(),
+)
+def test_guide_table_transmission_equals_the_definition(matrix, rows, n, seed, targeted):
+    # The kernel counts the thresholds c_a <= u exactly, on the same draws.
+    g = np.random.default_rng(seed)
+    word = g.integers(0, matrix.shape[0], n)
+    if targeted:
+        # Uniforms on, and one step of 2^-53 beside, every threshold and grid point.
+        pool = np.concatenate([np.cumsum(matrix, 1).ravel(), np.arange(_GUIDE_CELLS) / _GUIDE_CELLS])
+        pool = np.floor(pool * 2.0**53)[:, None] + [-1.0, 0.0, 1.0]
+        pool = np.clip(pool.ravel(), 0.0, 2.0**53 - 1) / 2.0**53
+        u = g.choice(pool, (rows, n))
+        rng = _Uniforms(u)
+    else:
+        u = np.random.default_rng(seed).random((rows, n))
+        rng = np.random.default_rng(seed)
+    got = _transmit_rows(_guide_table(matrix), word, rng, rows)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, _transmit_definition(matrix, word, u))
+    _assert_table_marks_inner_thresholds(matrix)
+
+
+def test_guide_table_transmission_on_the_discretized_channel():
+    # |X| = 9, |Y| = 25: some draws land in marked cells and take the fallback.
+    matrix = to_dmc(1, 1, 0.5, 4).channel.matrix
+    word = np.random.default_rng(3).integers(0, 9, 400)
+    _, table = _guide_table(matrix)
+    for rows in (1, 300):
+        u = np.random.default_rng(rows).random((rows, word.size))
+        got = _transmit_rows(_guide_table(matrix), word, np.random.default_rng(rows), rows)
+        np.testing.assert_array_equal(got, _transmit_definition(matrix, word, u))
+    assert (table[word * _GUIDE_CELLS + np.floor(u * _GUIDE_CELLS).astype(np.int64)] < 0).sum() > 100
+    _assert_table_marks_inner_thresholds(matrix)
 
 
 def test_transmit_empirical_frequencies():

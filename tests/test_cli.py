@@ -15,10 +15,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from di_codes import (
+    Dmc,
     GaussChannel,
     __version__,
     binary_entropy,
     bsc,
+    build_codebook,
     build_gauss_codebook,
     discretized_entropy,
     dmc_code,
@@ -165,6 +167,41 @@ def test_gauss_refuses_non_finite_input(name, bad):
     assert code == EXIT_FAILURE
     assert out.getvalue() == ""
     assert err.getvalue().startswith("di-codes: error:") and "finite" in err.getvalue()
+
+
+_DMC_ARGS = {"rate": 0.1, "epsilon": 0.1, "delta": 0.1, "backoff": 0.0, "cost_margin": 0.0}
+
+
+@given(
+    name=st.sampled_from(["matrix", "cost", "constraint", *sorted(_DMC_ARGS)]),
+    bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+def test_dmc_refuses_non_finite_input(tmp_path_factory, name, bad):
+    # One channel entry or build parameter non-finite: the API raises
+    # ValueError and the CLI exits 1 with a message, before any numeric
+    # warning and without a payload.
+    matrix = [[0.9, 0.1], [bad if name == "matrix" else 0.1, 0.9]]
+    cost = [0.0, bad if name == "cost" else 1.0]
+    constraint = bad if name == "constraint" else 0.5
+    args = dict(_DMC_ARGS, **{name: bad}) if name in _DMC_ARGS else _DMC_ARGS
+    chan = tmp_path_factory.mktemp("chan") / "chan.json"
+    chan.write_text(json.dumps({"input_size": 2, "output_size": 2, "matrix": matrix,
+                                "cost": cost, "constraint": constraint}))
+    argvs = [["codebook-dmc", "--channel", str(chan), "--n", "20", "--seed", "1",
+              *(f"--{k.replace('_', '-')}={v}" for k, v in args.items())]]
+    if name not in _DMC_ARGS:
+        argvs.append(["capacity", "--channel", str(chan)])
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            build_codebook(Dmc(np.array(matrix), np.array(cost), constraint), n=20, seed=1, **args)
+        with redirect_stdout(out), redirect_stderr(err):
+            codes = [main(argv) for argv in argvs]
+    assert codes == [EXIT_FAILURE] * len(argvs)
+    assert out.getvalue() == ""
+    lines = err.getvalue().splitlines()
+    assert len(lines) == len(argvs) and all(line.startswith("di-codes: error:") for line in lines)
 
 
 def test_discretize_payload_and_channel_output(tmp_path, capsys):

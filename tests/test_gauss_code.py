@@ -4,6 +4,9 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +24,9 @@ from di_codes import (
     packing_radii,
     simulate_gauss_errors,
 )
+import di_codes
 from di_codes import gauss_code, stats
+from di_codes._threads import env_threads
 from di_codes.gauss_code import _BATCH, _PENDING_LIMIT, _sample_ball
 
 
@@ -232,15 +237,27 @@ def test_probe_pass_ignores_the_simulators_chunk_size(monkeypatch):
 
 
 def test_worker_count_parses_di_codes_threads(monkeypatch):
-    # Only the parsed value is checked; no query runs with these settings.
+    # Only the parsed value is checked; no thread or process is started with
+    # these settings. The package forwards env_threads() to the BLAS knobs.
     cpus = len(os.sched_getaffinity(0))
     monkeypatch.delenv("DI_CODES_THREADS", raising=False)
-    assert gauss_code._worker_count() == 1
-    cases = {"abc": 1, "2.5": 1, "": 1, "0": 1, "-3": 1, "1": 1, "2": min(2, cpus),
-             " 3 ": min(3, cpus), str(10**9): cpus}
+    assert gauss_code._worker_count() == 1 and env_threads() is None
+    cases = {"abc": None, "2.5": None, "": None, "0": None, "-3": None, "nan": None, "9" * 5000: None,
+             "1": 1, "2": min(2, cpus), " 3 ": min(3, cpus), str(10**9): cpus, str(10**100): cpus}
     for value, want in cases.items():
         monkeypatch.setenv("DI_CODES_THREADS", value)
-        assert gauss_code._worker_count() == want, value
+        assert env_threads() == want, value
+        assert gauss_code._worker_count() == (want or 1), value
+
+
+@pytest.mark.parametrize("value, forwarded", [("abc", None), ("0", None), ("-3", None), ("1", "1")])
+def test_import_forwards_only_a_valid_thread_count(value, forwarded):
+    knobs = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in knobs}
+    env.update(DI_CODES_THREADS=value, PYTHONPATH=str(Path(di_codes.__file__).parents[1]))
+    script = f"import os, di_codes; print([os.environ.get(k) for k in {knobs!r}])"
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == repr([forwarded] * 3)
 
 
 def test_build_rejects_epsilon_filling_the_ball():
