@@ -100,6 +100,8 @@ def max_entropy_pmf(cost: Sequence[float] | np.ndarray, limit: float) -> Capacit
     k = c.size
     if k < 1:
         raise ValueError("cost vector is empty")
+    if not (np.isfinite(c).all() and math.isfinite(limit)):
+        raise ValueError("letter costs and the cost limit must be finite")
     cmin = float(c.min())
     if limit < cmin:
         raise InfeasibleConstraintError(
@@ -260,7 +262,6 @@ def same_type_pair(et: EmpiricalType, distance: int) -> tuple[np.ndarray, np.nda
         x2[slots[b].pop()] = c
         x2[slots[c].pop()] = a
         remaining -= 3
-    pair_idx = 0
     while remaining > 0:
         # swap one slot of each of two distinct populated letters
         candidates = [a for a in populated if slots[a]]
@@ -270,7 +271,6 @@ def same_type_pair(et: EmpiricalType, distance: int) -> tuple[np.ndarray, np.nda
         x2[slots[a].pop()] = b
         x2[slots[b].pop()] = a
         remaining -= 2
-        pair_idx += 1
     return x1, x2
 
 

@@ -11,6 +11,7 @@ are drawn by inverse cdf through an exact guide table (``_transmit_rows``).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -90,6 +91,11 @@ class Dmc:
     @property
     def output_size(self) -> int:
         return self.matrix.shape[1]
+
+    @functools.cached_property
+    def _guide(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """The sampler's ``_guide_table(matrix)``, built at most once per channel."""
+        return _guide_table(self.matrix)
 
 
 @dataclass(frozen=True)
@@ -180,7 +186,7 @@ def transmit_dmc(channel: Dmc, codeword: Sequence[int] | np.ndarray, rng: np.ran
         raise ValueError("codeword must be one-dimensional")
     if word.size and (word.min() < 0 or word.max() >= channel.input_size):
         raise ValueError("codeword letter outside the input alphabet")
-    return _transmit_rows(_guide_table(channel.matrix), word, rng, 1)[0]
+    return _transmit_rows(channel._guide, word, rng, 1)[0]
 
 
 def _guide_table(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:

@@ -231,10 +231,10 @@ def _cmd_codebook_dmc(parser: _Parser, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_simulate_dmc(parser: _Parser, args: argparse.Namespace) -> int:
+def _cmd_simulate(parser: _Parser, args: argparse.Namespace) -> int:
     obj = _load_json(args.codebook)
-    codebook = codebook_from_dict(obj["codebook"] if "codebook" in obj else obj)
-    report = simulate_errors(
+    codebook = args._from_dict(obj["codebook"] if "codebook" in obj else obj)
+    report = args._simulate(
         codebook,
         trials=args.trials,
         seed=args.seed,
@@ -269,20 +269,6 @@ def _cmd_codebook_gauss(parser: _Parser, args: argparse.Namespace) -> int:
     else:
         payload["codebook"] = gauss_codebook_to_dict(codebook)
     _emit(args, payload, seed=args.seed)
-    return EXIT_OK
-
-
-def _cmd_simulate_gauss(parser: _Parser, args: argparse.Namespace) -> int:
-    obj = _load_json(args.codebook)
-    codebook = gauss_codebook_from_dict(obj["codebook"] if "codebook" in obj else obj)
-    report = simulate_gauss_errors(
-        codebook,
-        trials=args.trials,
-        seed=args.seed,
-        pair_budget=args.pair_budget,
-        message_budget=args.message_budget,
-    )
-    _emit(args, report.to_dict(), seed=args.seed)
     return EXIT_OK
 
 
@@ -376,14 +362,6 @@ def build_parser() -> _Parser:
     p.add_argument("--output", metavar="FILE", help="write codebook + report as JSON")
     p.set_defaults(func=_cmd_codebook_dmc)
 
-    p = subs.add_parser("simulate-dmc", help="estimate both error kinds for a stored codebook")
-    p.add_argument("--codebook", metavar="FILE", required=True)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--pair-budget", type=int, default=DEFAULT_PAIR_BUDGET)
-    p.add_argument("--message-budget", type=int, default=None)
-    p.set_defaults(func=_cmd_simulate_dmc)
-
     p = subs.add_parser("codebook-gauss", help="pack codeword centers for the Gaussian channel")
     p.add_argument("--sigma2", type=float, default=1.0, help="noise variance")
     p.add_argument("--power", type=float, default=1.0, help="mean power ceiling")
@@ -398,13 +376,19 @@ def build_parser() -> _Parser:
     p.add_argument("--output", metavar="FILE", help="write codebook + certificate as JSON")
     p.set_defaults(func=_cmd_codebook_gauss)
 
-    p = subs.add_parser("simulate-gauss", help="estimate both error kinds for a stored Gaussian codebook")
-    p.add_argument("--codebook", metavar="FILE", required=True)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--pair-budget", type=int, default=DEFAULT_PAIR_BUDGET)
-    p.add_argument("--message-budget", type=int, default=None)
-    p.set_defaults(func=_cmd_simulate_gauss)
+    for name, help_text, from_dict, simulate in (
+        ("simulate-dmc", "estimate both error kinds for a stored codebook",
+         codebook_from_dict, simulate_errors),
+        ("simulate-gauss", "estimate both error kinds for a stored Gaussian codebook",
+         gauss_codebook_from_dict, simulate_gauss_errors),
+    ):
+        p = subs.add_parser(name, help=help_text)
+        p.add_argument("--codebook", metavar="FILE", required=True)
+        p.add_argument("--trials", type=int, required=True)
+        p.add_argument("--seed", type=int, required=True)
+        p.add_argument("--pair-budget", type=int, default=DEFAULT_PAIR_BUDGET)
+        p.add_argument("--message-budget", type=int, default=None)
+        p.set_defaults(func=_cmd_simulate, _from_dict=from_dict, _simulate=simulate)
 
     p = subs.add_parser("discretize", help="quantize the Gaussian channel onto a finite lattice")
     p.add_argument("--sigma2", type=float, required=True)

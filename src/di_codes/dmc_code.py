@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .capacity import entropy_bits, max_entropy_pmf
-from .channels import Dmc, _guide_table, _transmit_rows, dmc_from_dict, dmc_to_dict, input_cost, reduce_channel
+from .channels import Dmc, _transmit_rows, dmc_from_dict, dmc_to_dict, input_cost, reduce_channel
 from .errors import BudgetError, ConstructionError
 from .stats import DEFAULT_PAIR_BUDGET, SimReport, _closest_first_pairs, _in_chunks, _simulate
 from .typicality import (
@@ -416,10 +416,8 @@ def simulate_errors(
     message_budget = None evaluates every message; an integer evaluates an
     evenly spaced subset of that size.
     """
-    guide = _guide_table(codebook.channel.matrix)
-
     def accepts(i: int, j: int, rng: np.random.Generator, rows: int) -> np.ndarray:
-        return _decide(codebook, j, _transmit_rows(guide, codebook.words[i], rng, rows))
+        return _decide(codebook, j, _transmit_rows(codebook.channel._guide, codebook.words[i], rng, rows))
 
     return _simulate(
         codebook.word_count, trials, seed, message_budget,
@@ -447,10 +445,9 @@ def same_codeword_conflict(codebook: DmcCodebook, i: int, j: int, trials: int, s
     if trials < 1:
         raise ValueError("trials must be positive")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    guide = _guide_table(codebook.channel.matrix)
 
     def accepted(rows: int) -> np.ndarray:
-        outputs = _transmit_rows(guide, codebook.words[i], rng, rows)
+        outputs = _transmit_rows(codebook.channel._guide, codebook.words[i], rng, rows)
         return np.array([_decide(codebook, k, outputs).sum() for k in (i, j)])
 
     row_scalars = codebook.block_length * codebook.channel.output_size

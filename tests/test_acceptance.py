@@ -9,7 +9,23 @@ weakened; the fitted decay rate behind the same data is asserted for real.
 
 import pytest
 
-from di_codes import format_line, run_checks
+from di_codes import CheckResult, acceptance, format_line, run_checks
+
+# The battery in definition order, with the fixture that runs each check.
+REGISTRY = {
+    "bsc-capacity-closed-form": "bsc_capacity_check",
+    "distinct-rows-capacity": "distinct_rows_check",
+    "reduction-equivalence": "reduction_check",
+    "construction-yield": "yield_check",
+    "dmc-error-decay": "dmc_decay_check",
+    "duplicate-codeword-identity": "duplicate_check",
+    "intersection-ratio-decay": "intersection_check",
+    "constrained-count-bound": "count_bound_check",
+    "gauss-saturation-count": "saturation_check",
+    "gauss-error-decay": "gauss_decay_check",
+    "discretized-entropy-limit": "entropy_limit_check",
+    "determinism-replay": "replay_check",
+}
 
 
 def _run(name):
@@ -152,3 +168,12 @@ def test_discretized_entropy_approaches_differential_limit(entropy_limit_check):
 def test_reported_results_replay_bit_identically(replay_check):
     _assert_clean_pass(replay_check)
     assert replay_check.details["mismatches"] == []
+
+
+def test_check_registry_is_pinned(request):
+    # A dropped decorator, a new check or a reordering changes this list.
+    assert list(acceptance.CHECKS) == list(REGISTRY)
+    for name, fixture in REGISTRY.items():
+        assert acceptance.CHECKS[name] is getattr(acceptance, "check_" + name.replace("-", "_"))
+        res = request.getfixturevalue(fixture)
+        assert isinstance(res, CheckResult) and res.name == name

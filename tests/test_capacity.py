@@ -85,11 +85,16 @@ def test_constraint_below_cheapest_cost_raises():
         max_entropy_pmf((1.0, 2.0), 0.5)
 
 
-def test_bisection_refuses_a_nan_residual():
-    # Every comparison with NaN is False, so only "not (gap <= tol)" catches it.
-    for cost, limit in (((0.0, 1.0), math.nan), ((0.0, math.nan, 1.0), 0.5)):
-        with pytest.raises(RuntimeError, match="residual nan"):
+def test_bisection_refuses_a_nan_residual(monkeypatch):
+    # Non-finite costs and limits are refused at entry.
+    for cost, limit in (((0.0, 1.0), math.nan), ((0.0, math.nan, 1.0), 0.5), ((0.0, math.inf), 0.5)):
+        with pytest.raises(ValueError, match="finite"):
             max_entropy_pmf(cost, limit)
+    # Every comparison with NaN is False, so only "not (gap <= tol)" catches a
+    # NaN residual from inside the bisection.
+    monkeypatch.setattr("di_codes.capacity._gibbs_pmf", lambda cost, lam: np.full(cost.size, math.nan))
+    with pytest.raises(RuntimeError, match="residual nan"):
+        max_entropy_pmf((0.0, 1.0), 0.3)
 
 
 def test_estimate_L_refuses_an_infinite_delta():

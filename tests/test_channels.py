@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from di_codes import (
     Dmc,
+    DmcCodebook,
     GaussChannel,
     InfeasibleConstraintError,
     bsc,
@@ -16,6 +17,8 @@ from di_codes import (
     gauss_to_dict,
     input_cost,
     reduce_channel,
+    same_codeword_conflict,
+    simulate_errors,
     transmit_dmc,
     transmit_gauss,
     to_dmc,
@@ -224,6 +227,27 @@ def test_guide_table_transmission_on_the_discretized_channel():
         np.testing.assert_array_equal(got, _transmit_definition(matrix, word, u))
     assert (table[word * _GUIDE_CELLS + np.floor(u * _GUIDE_CELLS).astype(np.int64)] < 0).sum() > 100
     _assert_table_marks_inner_thresholds(matrix)
+
+
+def test_guide_table_is_built_once_per_channel(monkeypatch):
+    builds = []
+
+    def counting(matrix):
+        builds.append(matrix)
+        return _guide_table(matrix)
+
+    monkeypatch.setattr("di_codes.channels._guide_table", counting)
+    ch = to_dmc(1, 1, 0.5, 4).channel
+    word = np.random.default_rng(5).integers(0, ch.input_size, 40)
+    first = transmit_dmc(ch, word, np.random.default_rng(6))
+    second = transmit_dmc(ch, word, np.random.default_rng(6))
+    assert len(builds) == 1
+    np.testing.assert_array_equal(first, second)
+    cb = DmcCodebook(channel=ch, words=np.stack([word, word[::-1]]), epsilon=0.0, delta=0.1)
+    simulate_errors(cb, trials=20, seed=7, pair_budget=2)
+    same_codeword_conflict(DmcCodebook(channel=ch, words=np.stack([word, word]), epsilon=0.0, delta=0.1),
+                           0, 1, trials=20, seed=8)
+    assert len(builds) == 1
 
 
 def test_transmit_empirical_frequencies():
