@@ -186,7 +186,7 @@ def transmit_dmc(channel: Dmc, codeword: Sequence[int] | np.ndarray, rng: np.ran
         raise ValueError("codeword must be one-dimensional")
     if word.size and (word.min() < 0 or word.max() >= channel.input_size):
         raise ValueError("codeword letter outside the input alphabet")
-    return _transmit_rows(channel._guide, word, rng, 1)[0]
+    return _transmit_rows(channel._guide, word, rng, 1)[0].astype(np.int64)
 
 
 def _guide_table(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
@@ -210,15 +210,16 @@ def _transmit_rows(guide: tuple, word: np.ndarray, rng: np.random.Generator, row
     a multiple of 2^-53, so u·K and its floor g are exact, and a cumulative row
     of finite nonnegative entries never decreases, so the count lies between
     #{c <= g/K} and #{c < (g+1)/K}; cells where these differ (at most |Y|-1 a
-    letter) fall back to counting. Binary outputs keep the faster comparison."""
+    letter) fall back to counting. Binary outputs keep the faster comparison.
+    The outputs stay narrow: bool for binary outputs, else int32."""
     cum, table = guide
     u = rng.random((rows, word.size))
     if table is None:
-        return (cum[word, 0] <= u).astype(np.int64)
+        return cum[word, 0] <= u
     out = table.take((u * _GUIDE_CELLS).astype(np.int32) + word.astype(np.int32) * _GUIDE_CELLS)
     miss = np.flatnonzero(out < 0)
     out.flat[miss] = (cum[word[miss % word.size]] <= u.flat[miss][:, None]).sum(axis=1)
-    return out.astype(np.int64)
+    return out
 
 
 def transmit_gauss(channel: GaussChannel, codeword: Sequence[float] | np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -11,9 +11,9 @@ The conventions used throughout the package:
   |N(a,b) - n*p(a,b)| <= n*delta, with the exact support condition N(a,b) = 0
   wherever p(a,b) = 0. This "strong" notion is what the decoder uses; weak
   (entropy-based) typicality is deliberately not implemented. One batched
-  kernel, ``_typical_rows``, makes every such decision: ``is_jointly_typical``,
-  the conditional enumeration below, and the DMC decoder and simulator all
-  call it.
+  kernel, ``_typical_rows``, makes every such decision (``is_jointly_typical``,
+  the enumeration below, the DMC decoder and simulator); binary outputs are
+  counted by their ones per input letter, wider ones by one bincount.
 
 * Hamming spheres use the strict inequality d(x, y) < n*eps, except that a
   zero-radius sphere is the center alone. The matching separation rule used
@@ -154,8 +154,7 @@ def joint_type(
 ) -> JointType:
     """Joint counts N(a, b) of the aligned pair (x, y)."""
     xa, ya = _aligned(x, y, input_size, output_size)
-    flat = np.bincount(xa * output_size + ya, minlength=input_size * output_size)
-    mat = flat.reshape(input_size, output_size)
+    mat = _joint_counts(xa, ya[None, :], input_size, output_size).reshape(input_size, output_size)
     return JointType(tuple(tuple(int(c) for c in row) for row in mat), int(xa.size))
 
 
@@ -305,24 +304,35 @@ def pairwise_hamming(words: np.ndarray, alphabet_size: int) -> np.ndarray:
     return _hamming_blocks(w, w, np.arange(alphabet_size))
 
 
+def _joint_counts(word: np.ndarray, outputs: np.ndarray, input_size: int, output_size: int) -> np.ndarray:
+    """N(a,b) of (word, row) for every row of ``outputs``: rows x |X||Y| int64, cell a*|Y| + b.
+
+    Binary outputs count the ones N(a,1) at the positions of each letter a of
+    ``word`` and take N(a,0) = N(a) - N(a,1), with N(a) the letter count of
+    ``word``; wider ones come from one bincount over row*|X||Y| + a*|Y| + b.
+    Every letter must lie in range (a letter >= |Y| would land in another cell).
+    """
+    rows, cells = outputs.shape[0], input_size * output_size
+    if output_size == 2:
+        bits = outputs.astype(bool, copy=False)
+        ones = np.stack([bits[:, word == a].sum(axis=1) for a in range(input_size)], axis=1)
+        return np.stack([np.bincount(word, minlength=input_size) - ones, ones], axis=2).reshape(rows, cells)
+    flat = outputs + word * output_size
+    flat += (np.arange(rows) * cells)[:, None]
+    return np.bincount(flat.ravel(), minlength=rows * cells).reshape(rows, cells)
+
+
 def _typical_rows(word: np.ndarray, outputs: np.ndarray, targets: np.ndarray, delta: float) -> np.ndarray:
     """Delta-typicality of (word, row) for every row of ``outputs``.
 
     ``targets`` holds the scaled joint pmf n*p(a,b). A row passes when its
-    joint counts N(a,b) satisfy |N(a,b) - target| <= n*delta wherever the
-    target is positive and are exactly 0 wherever it is 0 (a slack of 0,
-    since counts are nonnegative). All counts come from one bincount over
-    row*|X||Y| + a*|Y| + b, so every letter must lie in range: an output
-    letter >= |Y| would be counted in the next cell.
+    joint counts N(a,b) (``_joint_counts``) satisfy |N(a,b) - target| <= n*delta
+    wherever the target is positive and are exactly 0 wherever it is 0 (a
+    slack of 0, since counts are nonnegative).
     """
-    rows, n = outputs.shape
-    cells = targets.size
-    flat = outputs + word * targets.shape[1]
-    flat += (np.arange(rows) * cells)[:, None]
-    counts = np.bincount(flat.ravel(), minlength=rows * cells).reshape(rows, cells)
     t = targets.ravel()
-    slack = np.where(t == 0.0, 0.0, n * delta + _TIE_GUARD)
-    return (np.abs(counts - t) <= slack).all(axis=1)
+    slack = np.where(t == 0.0, 0.0, outputs.shape[1] * delta + _TIE_GUARD)
+    return (np.abs(_joint_counts(word, outputs, *targets.shape) - t) <= slack).all(axis=1)
 
 
 def is_jointly_typical(

@@ -91,6 +91,32 @@ def test_matches_slow_oracle_across_random_cases():
     assert agreements == 300
 
 
+def _bincount_joint_counts(word, outputs, input_size, output_size):
+    """Oracle: N(a,b) of (word, row) by one bincount over row*|X||Y| + a*|Y| + b."""
+    rows, cells = outputs.shape[0], input_size * output_size
+    flat = outputs.astype(np.int64) + word * output_size + (np.arange(rows) * cells)[:, None]
+    return np.bincount(flat.ravel(), minlength=rows * cells).reshape(rows, cells)
+
+
+@given(
+    input_size=st.integers(1, 8),
+    n=st.integers(0, 70),
+    rows=st.integers(0, 5),
+    as_bool=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_binary_joint_counts_equal_a_bincount(input_size, n, rows, as_bool, seed):
+    # Binary outputs are counted by their ones per letter of the word; the
+    # word draws from a random subset of the letters, so it may miss some.
+    g = np.random.default_rng(seed)
+    used = g.choice(input_size, size=int(g.integers(1, input_size + 1)), replace=False)
+    word = g.choice(used, n).astype(np.int64)
+    outputs = (g.random((rows, n)) < g.random()).astype(bool if as_bool else np.int64)
+    got = typicality._joint_counts(word, outputs, input_size, 2)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, _bincount_joint_counts(word, outputs, input_size, 2))
+
+
 def test_exact_match_is_typical_at_zero_delta():
     # y hitting n*p(a,b) exactly on every cell passes with delta = 0
     pmf = np.array([[0.25, 0.25], [0.25, 0.25]])
@@ -387,3 +413,14 @@ def test_joint_type_marginals():
     m = jt.matrix()
     assert m.sum() == 4
     assert m[0, 1] == 1 and m[1, 1] == 1 and m[1, 0] == 1 and m[0, 0] == 1
+    assert jt.input_marginal() == EmpiricalType((2, 2), 4)
+    assert jt.output_marginal() == EmpiricalType((2, 2), 4)
+
+
+@given(kx=st.integers(1, 6), ky=st.integers(1, 6), n=st.integers(0, 40), seed=st.integers(0, 2**32 - 1))
+def test_joint_type_marginals_are_the_empirical_types(kx, ky, n, seed):
+    g = np.random.default_rng(seed)
+    x, y = g.integers(0, kx, n), g.integers(0, ky, n)
+    jt = joint_type(x, y, kx, ky)
+    assert jt.input_marginal() == empirical_type(x, kx)
+    assert jt.output_marginal() == empirical_type(y, ky)
