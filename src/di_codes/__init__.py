@@ -7,7 +7,8 @@ for the power-constrained Gaussian channel.
 Set DI_CODES_THREADS before importing to pin the BLAS/OpenMP pool size: a
 positive integer (capped at the usable CPUs) is forwarded to the usual knobs
 if they are not already set, anything else is ignored. It also sets the
-Gaussian packing's k-d-tree query threads; results do not depend on it.
+Gaussian packing's k-d-tree query threads and the Monte Carlo simulators'
+workers (one when unset); results do not depend on it.
 """
 
 import os as _os

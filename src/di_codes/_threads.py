@@ -10,3 +10,8 @@ def env_threads() -> int | None:
     except ValueError:
         return None
     return min(threads, len(os.sched_getaffinity(0))) if threads > 0 else None
+
+
+def worker_count() -> int:
+    """Workers for the k-d-tree queries and the Monte Carlo driver: ``env_threads()``, else 1."""
+    return env_threads() or 1

@@ -186,7 +186,7 @@ def transmit_dmc(channel: Dmc, codeword: Sequence[int] | np.ndarray, rng: np.ran
         raise ValueError("codeword must be one-dimensional")
     if word.size and (word.min() < 0 or word.max() >= channel.input_size):
         raise ValueError("codeword letter outside the input alphabet")
-    return _transmit_rows(channel._guide, word, rng, 1)[0].astype(np.int64)
+    return _transmit_rows(channel._guide, word, rng.random((1, word.size)))[0].astype(np.int64)
 
 
 def _guide_table(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
@@ -202,9 +202,9 @@ def _guide_table(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     return cum, np.where(lo == hi, lo, -1).ravel()
 
 
-def _transmit_rows(guide: tuple, word: np.ndarray, rng: np.random.Generator, rows: int) -> np.ndarray:
-    """``rows`` i.i.d. output blocks for ``word``, one uniform per symbol in row
-    order (stream-equivalent to ``rows`` calls of ``transmit_dmc``): each output
+def _transmit_rows(guide: tuple, word: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """One output block for ``word`` per row of the uniforms ``u`` (rows x n;
+    ``rng.random((rows, n))`` replays ``rows`` calls of ``transmit_dmc``): each output
     counts the thresholds c <= u of its letter's cumulative row, read from
     ``_guide_table`` (Chen and Asau; Devroye 1986, §III.2). This is exact: u is
     a multiple of 2^-53, so u·K and its floor g are exact, and a cumulative row
@@ -213,7 +213,6 @@ def _transmit_rows(guide: tuple, word: np.ndarray, rng: np.random.Generator, row
     letter) fall back to counting. Binary outputs keep the faster comparison.
     The outputs stay narrow: bool for binary outputs, else int32."""
     cum, table = guide
-    u = rng.random((rows, word.size))
     if table is None:
         return cum[word, 0] <= u
     out = table.take((u * _GUIDE_CELLS).astype(np.int32) + word.astype(np.int32) * _GUIDE_CELLS)

@@ -17,8 +17,8 @@ or memory budget.
 Set DI_CODES_THREADS to pin the BLAS/OpenMP thread count; a positive integer
 (capped at the usable CPUs) is exported before the numeric libraries spin up
 their pools, as long as nothing imported numpy beforehand. It also sets the
-worker threads of the Gaussian packing's large k-d-tree queries; outputs do
-not depend on it.
+worker threads of the Gaussian packing's large k-d-tree queries and of the
+``simulate-*`` commands' estimates; outputs do not depend on it.
 """
 
 from __future__ import annotations

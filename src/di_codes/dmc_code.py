@@ -25,7 +25,7 @@ import numpy as np
 from .capacity import entropy_bits, max_entropy_pmf
 from .channels import Dmc, _transmit_rows, dmc_from_dict, dmc_to_dict, input_cost, reduce_channel
 from .errors import BudgetError, ConstructionError
-from .stats import DEFAULT_PAIR_BUDGET, SimReport, _closest_first_pairs, _in_chunks, _simulate
+from .stats import DEFAULT_PAIR_BUDGET, SimReport, _chunk_rows, _closest_first_pairs, _in_chunks, _simulate
 from .typicality import (
     _TIE_GUARD,
     EmpiricalType,
@@ -416,13 +416,16 @@ def simulate_errors(
     message_budget = None evaluates every message; an integer evaluates an
     evenly spaced subset of that size.
     """
-    def accepts(i: int, j: int, rng: np.random.Generator, rows: int) -> np.ndarray:
-        return _decide(codebook, j, _transmit_rows(codebook.channel._guide, codebook.words[i], rng, rows))
+    guide = codebook.channel._guide  # built here, before any worker starts
 
+    def accepts(i: int, j: int, rng: np.random.Generator, u: np.ndarray) -> np.ndarray:
+        return _decide(codebook, j, _transmit_rows(guide, codebook.words[i], rng.random(out=u)))
+
+    n = codebook.block_length
     return _simulate(
         codebook.word_count, trials, seed, message_budget,
         lambda: select_pairs(codebook, pair_budget),
-        accepts, codebook.block_length * codebook.channel.output_size,
+        accepts, n, n * codebook.channel.output_size,
     )
 
 
@@ -445,13 +448,14 @@ def same_codeword_conflict(codebook: DmcCodebook, i: int, j: int, trials: int, s
     if trials < 1:
         raise ValueError("trials must be positive")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
+    n = codebook.block_length
 
     def accepted(rows: int) -> np.ndarray:
-        outputs = _transmit_rows(codebook.channel._guide, codebook.words[i], rng, rows)
+        outputs = _transmit_rows(codebook.channel._guide, codebook.words[i], rng.random((rows, n)))
         return np.array([_decide(codebook, k, outputs).sum() for k in (i, j)])
 
-    row_scalars = codebook.block_length * codebook.channel.output_size
-    hits_i, hits_j = (int(h) for h in _in_chunks(trials, row_scalars, accepted))
+    step = _chunk_rows(trials, n * codebook.channel.output_size)
+    hits_i, hits_j = (int(h) for h in _in_chunks(trials, step, accepted))
     pe1 = (trials - hits_i) / trials
     pe2 = hits_j / trials
     return {

@@ -43,7 +43,7 @@ from typing import Sequence
 import numpy as np
 from scipy.spatial import cKDTree
 
-from ._threads import env_threads
+from ._threads import worker_count
 from .channels import GaussChannel, gauss_from_dict, gauss_to_dict
 from .errors import ConstructionError
 from .stats import DEFAULT_PAIR_BUDGET, SimReport, _closest_first_pairs, _simulate
@@ -199,14 +199,9 @@ def _sample_ball(rng: np.random.Generator, count: int, n: int, radius: float, ou
     return g
 
 
-def _worker_count() -> int:
-    """Query threads from DI_CODES_THREADS (``env_threads``), else 1."""
-    return env_threads() or 1
-
-
 def _query(tree: cKDTree, points: np.ndarray, **kwargs):
     """``tree.query``, threaded when ``points`` has enough rows to gain."""
-    workers = _worker_count() if len(points) >= _THREADED_ROWS else 1
+    workers = worker_count() if len(points) >= _THREADED_ROWS else 1
     return tree.query(points, workers=workers, **kwargs)
 
 
@@ -414,9 +409,9 @@ def simulate_gauss_errors(
     sigma = math.sqrt(codebook.channel.sigma2)
     threshold = codebook.channel.sigma2 + codebook.delta
 
-    def accepts(i: int, j: int, rng: np.random.Generator, rows: int) -> np.ndarray:
+    def accepts(i: int, j: int, rng: np.random.Generator, diff: np.ndarray) -> np.ndarray:
         # In place, with the same roundings as sigma * z + shift, squared.
-        diff = rng.standard_normal((rows, n))
+        rng.standard_normal(out=diff)
         diff *= sigma
         diff += codebook.codeword(i) - codebook.codeword(j)
         diff *= diff
@@ -430,7 +425,7 @@ def simulate_gauss_errors(
     report = _simulate(
         codebook.center_count, trials, seed, message_budget,
         lambda: _closest_first_pairs(codebook.center_count, pair_budget, closest),
-        accepts, n,
+        accepts, n, n,
     )
     ref1, ref2 = chebyshev_references(codebook.channel, n, codebook.delta)
     return replace(report, chebyshev_pe1=ref1, chebyshev_pe2=ref2)

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+from ._threads import worker_count
 
 # 95% two-sided normal quantile used for every interval in this package.
 WILSON_Z = 1.96
@@ -138,10 +141,15 @@ class SimReport:
         return out
 
 
-def _in_chunks(trials: int, row_scalars: int, chunk: Callable[[int], int | np.ndarray]):
-    """Sum of ``chunk(rows)`` over chunks covering ``trials`` transmissions,
-    each of at most ``_CHUNK_SCALARS // row_scalars`` rows (at least one)."""
-    step = max(1, _CHUNK_SCALARS // row_scalars)
+def _chunk_rows(trials: int, row_scalars: int, workers: int = 1) -> int:
+    """Rows of one worker's chunk: a chunk of ``_CHUNK_SCALARS // row_scalars``
+    rows (at least one, at most ``trials``) split evenly over ``workers``."""
+    return -(-min(max(1, _CHUNK_SCALARS // row_scalars), trials) // workers)
+
+
+def _in_chunks(trials: int, step: int, chunk: Callable[[int], int | np.ndarray]):
+    """Sum of ``chunk(rows)`` over chunks of at most ``step`` rows covering
+    ``trials`` transmissions."""
     return sum(chunk(min(step, trials - done)) for done in range(0, trials, step))
 
 
@@ -169,19 +177,27 @@ def _simulate(
     seed: int,
     message_budget: int | None,
     pairs: Callable[[], list[tuple[int, int]]],
-    accepts: Callable[[int, int, np.random.Generator, int], np.ndarray],
+    accepts: Callable[[int, int, np.random.Generator, np.ndarray], np.ndarray],
+    n: int,
     row_scalars: int,
 ) -> SimReport:
     """Monte Carlo estimates of both identification error kinds.
 
-    ``accepts(i, j, rng, rows)`` transmits the codeword of message i ``rows``
-    times and says which outputs the decoder of message j accepts; a
-    transmission costs ``row_scalars`` scalars of chunk memory. Every
-    evaluated message and every ordered pair from ``pairs()`` gets its own
-    child stream of ``seed``, spawned messages first, then pairs, so
-    enlarging one budget never perturbs the other estimates.
-    message_budget = None evaluates every message; an integer evaluates an
-    evenly spaced subset of that size.
+    ``accepts(i, j, rng, out)`` draws into ``out`` (rows x n float64) the
+    randomness of ``len(out)`` transmissions of the codeword of message i and
+    says which outputs the decoder of message j accepts; a transmission costs
+    ``row_scalars`` scalars of chunk memory. Every evaluated message and every
+    ordered pair from ``pairs()`` gets its own child stream of ``seed``,
+    spawned messages first, then pairs, so enlarging one budget never
+    perturbs the other estimates. message_budget = None evaluates every
+    message; an integer evaluates an evenly spaced subset of that size.
+
+    The estimates run on ``worker_count()`` workers, the calling thread and
+    pool threads, each taking every workers-th one and storing its count at
+    its index, so the report is the same for any worker count. Worker w draws
+    into ``buffers[w]``, which the calling thread allocates once: together
+    one chunk of a single worker, up to rounding, and none of it left in a
+    pool thread's malloc arena. Chunking is stream-equivalent.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -194,17 +210,27 @@ def _simulate(
     else:
         messages = sorted({int(v) for v in np.linspace(0, m - 1, message_budget).round()})
     tested = pairs()
-    streams = np.random.SeedSequence(seed).spawn(len(messages) + len(tested))
+    jobs = [(i, i) for i in messages] + tested
+    streams = np.random.SeedSequence(seed).spawn(len(jobs))
+    workers = min(worker_count(), len(jobs))
+    step = _chunk_rows(trials, row_scalars, workers)
+    buffers = np.empty((workers, step, n))
+    hits = [0] * len(jobs)
 
-    def hits(i: int, j: int, stream: np.random.SeedSequence) -> int:
-        rng = np.random.default_rng(stream)
-        return _in_chunks(trials, row_scalars, lambda rows: int(accepts(i, j, rng, rows).sum()))
+    def work(w: int) -> None:
+        for k in range(w, len(jobs), workers):
+            (i, j), rng = jobs[k], np.random.default_rng(streams[k])
+            hits[k] = _in_chunks(trials, step, lambda rows: int(accepts(i, j, rng, buffers[w, :rows]).sum()))
 
+    with ThreadPoolExecutor(max(1, workers - 1)) as pool:
+        shares = pool.map(work, range(1, workers))
+        work(0)
+        list(shares)
     return SimReport(
         trials=trials,
         seed=seed,
         pe1_index=tuple(messages),
-        pe1_errors=tuple(trials - hits(i, i, s) for i, s in zip(messages, streams)),
+        pe1_errors=tuple(trials - h for h in hits[:len(messages)]),
         pe2_pairs=tuple(tested),
-        pe2_errors=tuple(hits(i, j, s) for (i, j), s in zip(tested, streams[len(messages):])),
+        pe2_errors=tuple(hits[len(messages):]),
     )

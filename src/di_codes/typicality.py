@@ -309,11 +309,12 @@ def _joint_counts(word: np.ndarray, outputs: np.ndarray, input_size: int, output
 
     Binary outputs count the ones N(a,1) at the positions of each letter a of
     ``word`` and take N(a,0) = N(a) - N(a,1), with N(a) the letter count of
-    ``word``; wider ones come from one bincount over row*|X||Y| + a*|Y| + b.
+    ``word``; wider ones, and a single row, where the per-letter calls cost
+    more than they save, come from one bincount over row*|X||Y| + a*|Y| + b.
     Every letter must lie in range (a letter >= |Y| would land in another cell).
     """
     rows, cells = outputs.shape[0], input_size * output_size
-    if output_size == 2:
+    if output_size == 2 and rows != 1:
         bits = outputs.astype(bool, copy=False)
         ones = np.stack([bits[:, word == a].sum(axis=1) for a in range(input_size)], axis=1)
         return np.stack([np.bincount(word, minlength=input_size) - ones, ones], axis=2).reshape(rows, cells)
@@ -362,8 +363,10 @@ def _enumeration(
 ) -> tuple[np.ndarray, np.ndarray, Iterator[np.ndarray]]:
     """x as a checked word, its targets for type(x) x W, and every output word.
 
-    The outputs come in lexicographic blocks of rows. Raises BudgetError when
-    |Y|^n exceeds ``budget``.
+    The outputs come in lexicographic blocks of |Y|^k rows, k <= 16 the most
+    digits with |Y|^k <= 2^16: a block is one table of every string of k low
+    digits behind the n - k high digits of the block's first index. Raises
+    BudgetError when |Y|^n exceeds ``budget``.
     """
     w = np.asarray(channel_matrix, dtype=float)
     if w.ndim != 2:
@@ -376,10 +379,11 @@ def _enumeration(
             f"enumeration budget {budget} exceeded: |Y|^n = {out_size}^{n} = {total}"
         )
     pows = out_size ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    block = 1 << 16
+    k = max(d for d in range(min(n, 16) + 1) if out_size**d <= 1 << 16)
+    low = (np.arange(out_size**k)[:, None] // pows[n - k:]) % out_size
     outputs = (
-        (np.arange(start, min(start + block, total), dtype=np.int64)[:, None] // pows) % out_size
-        for start in range(0, total, block)
+        np.concatenate((np.broadcast_to(high, (len(low), n - k)), low), axis=1)
+        for high in (np.arange(0, total, len(low))[:, None] // pows[:n - k]) % out_size
     )
     return word, _conditional_targets(word, w), outputs
 

@@ -211,7 +211,7 @@ def test_guide_table_transmission_equals_the_definition(matrix, rows, n, seed, t
     else:
         u = np.random.default_rng(seed).random((rows, n))
         rng = np.random.default_rng(seed)
-    got = _transmit_rows(_guide_table(matrix), word, rng, rows)
+    got = _transmit_rows(_guide_table(matrix), word, rng.random((rows, n)))
     # Narrow outputs for the decision kernel; transmit_dmc widens them.
     assert got.dtype == (np.bool_ if matrix.shape[1] == 2 else np.int32)
     np.testing.assert_array_equal(got, _transmit_definition(matrix, word, u))
@@ -225,7 +225,7 @@ def test_guide_table_transmission_on_the_discretized_channel():
     _, table = _guide_table(matrix)
     for rows in (1, 300):
         u = np.random.default_rng(rows).random((rows, word.size))
-        got = _transmit_rows(_guide_table(matrix), word, np.random.default_rng(rows), rows)
+        got = _transmit_rows(_guide_table(matrix), word, np.random.default_rng(rows).random(u.shape))
         np.testing.assert_array_equal(got, _transmit_definition(matrix, word, u))
     assert (table[word * _GUIDE_CELLS + np.floor(u * _GUIDE_CELLS).astype(np.int64)] < 0).sum() > 100
     _assert_table_marks_inner_thresholds(matrix)

@@ -3,6 +3,8 @@
 import hashlib
 import json
 import math
+import os
+import sys
 import tracemalloc
 
 import numpy as np
@@ -646,3 +648,45 @@ def _golden_outputs():
 
 def test_golden_outputs_replay_bit_for_bit():
     assert {key: _sha(out) for key, out in _golden_outputs()} == GOLDEN_OUTPUTS
+
+
+def test_reports_do_not_depend_on_the_worker_count(monkeypatch):
+    # Up to four workers whatever CPUs the machine has (the cap reads the
+    # affinity); the seeded pins must hold on two as on one.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    monkeypatch.setenv("DI_CODES_THREADS", "2")
+    assert stats.worker_count() == 2
+    assert {key: _sha(out) for key, out in _golden_outputs()} == GOLDEN_OUTPUTS
+
+    rng = np.random.default_rng(8)
+    bsc_cb = DmcCodebook(channel=bsc(0.1, constraint=1.0), words=rng.integers(0, 2, (6, 200)),
+                         epsilon=0.0, delta=0.03)
+    tern = Dmc(matrix=np.array([[0.7, 0.2, 0.1], [0.1, 0.6, 0.3]]), cost=(0.0, 1.0), constraint=1.0)
+    tern_cb = DmcCodebook(channel=tern, words=rng.integers(0, 2, (5, 200)), epsilon=0.0, delta=0.05)
+    gcb, _ = build_gauss_codebook(
+        GaussChannel(1.0, 2.0), n=8, epsilon=0.05, delta=0.1, seed=5,
+        probe_budget=2000, max_centers=64, probe_trials=64,
+    )
+
+    def reports():
+        return [
+            simulate_errors(bsc_cb, trials=1000, seed=1, pair_budget=4),
+            simulate_errors(tern_cb, trials=1000, seed=2, pair_budget=4),
+            simulate_gauss_errors(gcb, trials=30000, seed=3, pair_budget=4, message_budget=6),
+        ]
+
+    # At least 3 chunks an estimate on one worker: 163 BSC rows, 109 rows of
+    # the |Y| = 3 channel and 8192 Gaussian rows; fewer on more workers, which
+    # switch as often as the interpreter allows, so that a shared buffer or
+    # counts kept in completion order would show.
+    monkeypatch.setattr(stats, "_CHUNK_SCALARS", 2**16)
+    got = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in ("1", "2", "4"):
+            monkeypatch.setenv("DI_CODES_THREADS", workers)
+            got[workers] = reports()
+    finally:
+        sys.setswitchinterval(interval)
+    assert got["2"] == got["1"] and got["4"] == got["1"]

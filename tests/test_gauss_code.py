@@ -26,7 +26,7 @@ from di_codes import (
 )
 import di_codes
 from di_codes import gauss_code, stats
-from di_codes._threads import env_threads
+from di_codes._threads import env_threads, worker_count
 from di_codes.gauss_code import _BATCH, _PENDING_LIMIT, _sample_ball
 
 
@@ -241,13 +241,13 @@ def test_worker_count_parses_di_codes_threads(monkeypatch):
     # these settings. The package forwards env_threads() to the BLAS knobs.
     cpus = len(os.sched_getaffinity(0))
     monkeypatch.delenv("DI_CODES_THREADS", raising=False)
-    assert gauss_code._worker_count() == 1 and env_threads() is None
+    assert worker_count() == 1 and env_threads() is None
     cases = {"abc": None, "2.5": None, "": None, "0": None, "-3": None, "nan": None, "9" * 5000: None,
              "1": 1, "2": min(2, cpus), " 3 ": min(3, cpus), str(10**9): cpus, str(10**100): cpus}
     for value, want in cases.items():
         monkeypatch.setenv("DI_CODES_THREADS", value)
         assert env_threads() == want, value
-        assert gauss_code._worker_count() == (want or 1), value
+        assert worker_count() == (want or 1), value
 
 
 @pytest.mark.parametrize("value, forwarded", [("abc", None), ("0", None), ("-3", None), ("1", "1")])

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from di_codes import (
@@ -222,6 +222,24 @@ def test_enumeration_across_blocks_matches_binomial_counts():
     assert 0 < both < size1
     assert len(enumerate_conditional_typical(x1, w, params)) == size1
     assert intersection_ratio(x1, x2, w, params) == both / size1
+
+
+@given(out_size=st.integers(1, 5), n=st.integers(0, 17))
+@example(out_size=2, n=17)  # two blocks of 2^16 rows
+@example(out_size=3, n=11)  # three blocks of 3^10 rows
+@example(out_size=1, n=17)
+def test_enumeration_blocks_follow_the_digit_formula(out_size, n):
+    # The blocks are built from a table of low digits; the oracle is the
+    # direct formula (index // |Y|^position) % |Y| over all n positions.
+    # |Y| = 1 and n below the table's digits are included.
+    total = out_size**n
+    assume(total <= 2**17)
+    channel = np.full((1, out_size), 1.0 / out_size)
+    _, _, blocks = typicality._enumeration(np.zeros(n, dtype=np.int64), channel, total)
+    got = np.concatenate(list(blocks))
+    pows = out_size ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, (np.arange(total, dtype=np.int64)[:, None] // pows) % out_size)
 
 
 def test_intersection_ratio_requires_same_type():
