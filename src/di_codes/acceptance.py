@@ -32,7 +32,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .capacity import balanced_type, converse_count, di_capacity, estimate_L, min_same_type_distance, same_type_pair
+from .capacity import _decay_rate, _overlap_series, converse_count, di_capacity
 from .channels import Dmc, GaussChannel, bsc, reduce_channel, transmit_dmc
 from .discretize import entropy_defect, gaussian_differential_entropy
 from .dmc_code import (
@@ -51,12 +51,7 @@ from .gauss_code import (
     simulate_gauss_errors,
 )
 from .stats import nonincreasing_within_ci, proportion_se
-from .typicality import (
-    TypicalityParams,
-    binary_entropy,
-    distance_threshold,
-    intersection_ratio,
-)
+from .typicality import binary_entropy
 
 _SEED = 20260817
 
@@ -161,9 +156,8 @@ def check_distinct_rows_capacity():
         rows = rows[rng.permutation(rows.shape[0])]
         cost = rng.uniform(0.0, 1.0, rows.shape[0])
         channel = Dmc(matrix=rows, cost=cost, constraint=float(cost.max()))
-        reduced, _ = reduce_channel(channel)
-        got = di_capacity(channel).value_bits
-        if reduced.input_size == k_dist and got == math.log2(k_dist):
+        got = di_capacity(channel)
+        if got.maximizer.size == k_dist and got.value_bits == math.log2(k_dist):
             exact += 1
     passed = exact == configs
     note = f"{exact}/{configs} channels matched log2(distinct rows) exactly"
@@ -308,19 +302,10 @@ def check_intersection_ratio_decay():
     and is reported as an expected failure; the fitted decay rate is positive
     as claimed.
     """
-    channel = bsc(0.1, constraint=1.0)
-    params = TypicalityParams(0.15)
     ns = (6, 8, 10, 12)
-    ratios = []
-    distances = []
-    for n in ns:
-        et = balanced_type(n, 2)
-        d = min_same_type_distance(et, distance_threshold(n, 0.5))
-        x1, x2 = same_type_pair(et, d)
-        distances.append(d)
-        ratios.append(intersection_ratio(x1, x2, channel.matrix, params))
+    distances, ratios = _overlap_series(bsc(0.1, constraint=1.0), epsilon=0.5, delta=0.15, n_grid=ns)
     strictly_decreasing = all(b < a for a, b in zip(ratios, ratios[1:]))
-    fitted = estimate_L(channel, epsilon=0.5, delta=0.15, n_grid=ns)
+    fitted = _decay_rate(ns, ratios)
     passed = strictly_decreasing and fitted > 0
     expected_failure = not strictly_decreasing and fitted > 0
     note = (

@@ -158,10 +158,6 @@ def max_entropy_pmf(cost: Sequence[float] | np.ndarray, limit: float) -> Capacit
 def di_capacity(channel: Dmc) -> CapacityResult:
     """Identification capacity of ``channel`` in bits (reduction applied first)."""
     reduced, _ = reduce_channel(channel)
-    if float(reduced.cost.min()) > reduced.constraint:
-        raise InfeasibleConstraintError(
-            "no reduced letter satisfies the cost constraint"
-        )
     return max_entropy_pmf(reduced.cost, reduced.constraint)
 
 
@@ -285,6 +281,35 @@ def min_same_type_distance(et: EmpiricalType, target: int) -> int:
     return d
 
 
+def _overlap_series(
+    channel: Dmc,
+    epsilon: float,
+    delta: float,
+    n_grid: Sequence[int],
+    budget: int = DEFAULT_ENUMERATION_BUDGET,
+) -> tuple[list[int], list[float]]:
+    """Separations and exact overlap ratios of estimate_L's canonical worst pairs."""
+    params = TypicalityParams(delta)
+    separations: list[int] = []
+    ratios: list[float] = []
+    for n in n_grid:
+        et = balanced_type(int(n), channel.input_size)
+        d = min_same_type_distance(et, distance_threshold(int(n), epsilon))
+        x1, x2 = same_type_pair(et, d)
+        separations.append(d)
+        ratios.append(intersection_ratio(x1, x2, channel.matrix, params, budget))
+    return separations, ratios
+
+
+def _decay_rate(n_grid: Sequence[int], ratios: Sequence[float]) -> float:
+    """Least-squares slope of -ln(ratio) against n, zero-overlap points excluded."""
+    xs = [float(n) for n, r in zip(n_grid, ratios) if r != 0.0]
+    ys = [-math.log(r) for r in ratios if r != 0.0]
+    if len(xs) < 2:
+        raise ValueError("need at least two block lengths with nonzero overlap")
+    return float(np.polyfit(np.asarray(xs), np.asarray(ys), 1)[0])
+
+
 def estimate_L(
     channel: Dmc,
     epsilon: float,
@@ -306,22 +331,7 @@ def estimate_L(
         raise ValueError("channel rows must be pairwise distinct; reduce first")
     if not 0.0 < epsilon <= 1.0:
         raise ValueError("epsilon must lie in (0, 1]")
-    params = TypicalityParams(delta)
-    xs: list[float] = []
-    ys: list[float] = []
-    for n in n_grid:
-        et = balanced_type(int(n), channel.input_size)
-        d = min_same_type_distance(et, distance_threshold(int(n), epsilon))
-        x1, x2 = same_type_pair(et, d)
-        ratio = intersection_ratio(x1, x2, channel.matrix, params, budget)
-        if ratio == 0.0:
-            continue
-        xs.append(float(n))
-        ys.append(-math.log(ratio))
-    if len(xs) < 2:
-        raise ValueError("need at least two block lengths with nonzero overlap")
-    slope = float(np.polyfit(np.asarray(xs), np.asarray(ys), 1)[0])
-    return slope
+    return _decay_rate(n_grid, _overlap_series(channel, epsilon, delta, n_grid, budget)[1])
 
 
 def error_exponent_bounds(

@@ -162,14 +162,13 @@ def _add_channel_args(sub: _Parser) -> None:
 def _cmd_capacity(parser: _Parser, args: argparse.Namespace) -> int:
     channel = _channel_from_args(parser, args)
     result = di_capacity(channel)
-    reduced, _ = reduce_channel(channel)
     payload = {
         "value_bits": result.value_bits,
         "maximizer": result.maximizer.tolist(),
         "lagrange_multiplier": result.lagrange_multiplier,
         "binding": result.binding,
         "input_size": channel.input_size,
-        "reduced_input_size": reduced.input_size,
+        "reduced_input_size": result.maximizer.size,
     }
     _emit(args, payload)
     return EXIT_OK

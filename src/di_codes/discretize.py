@@ -31,15 +31,22 @@ from scipy.special import ndtr
 
 from .capacity import entropy_bits
 from .channels import Dmc
+from .errors import _MAX_BUILD_BYTES, BudgetError
 
 # Two rows closer than this (sup norm) are flagged as indistinguishable.
 ROW_DISTINCT_TOL = 1e-9
 
 
+def _positive(**values: float) -> None:
+    """Refuse a non-finite or non-positive sigma2, power or step, by name."""
+    for name, value in values.items():
+        if not (value > 0 and math.isfinite(value)):
+            raise ValueError(f"{name} must be positive and finite")
+
+
 def lattice(step: float, j: int) -> np.ndarray:
     """The 2J+1 lattice values -J*step .. J*step in increasing order."""
-    if not step > 0:
-        raise ValueError("step must be positive")
+    _positive(step=step)
     if j < 1:
         raise ValueError("J must be at least 1")
     return step * np.arange(-j, j + 1, dtype=np.float64)
@@ -51,8 +58,7 @@ def discretize_value(x: float, step: float, j: int) -> float:
     The four cases: clip high, round down a nonnegative value, round up a
     negative value, clip low.
     """
-    if not step > 0:
-        raise ValueError("step must be positive")
+    _positive(step=step)
     if j < 1:
         raise ValueError("J must be at least 1")
     hi = j * step
@@ -94,8 +100,7 @@ def _cell_probabilities(mean: float, sd: float, step: float, j: int) -> np.ndarr
 
 def input_pmf(power: float, step: float, j: int) -> np.ndarray:
     """pmf of the quantized input discretize(X) for X ~ N(0, power)."""
-    if not power > 0:
-        raise ValueError("power must be positive")
+    _positive(power=power, step=step)
     return _cell_probabilities(0.0, math.sqrt(power), step, j)
 
 
@@ -106,8 +111,7 @@ def discretized_entropy(power: float, step: float, j: int) -> float:
 
 def gaussian_differential_entropy(power: float) -> float:
     """(1/2) log2(2 pi e power), the small-step limit of H + log2(step)."""
-    if not power > 0:
-        raise ValueError("power must be positive")
+    _positive(power=power)
     return 0.5 * math.log2(2.0 * math.pi * math.e * power)
 
 
@@ -142,8 +146,7 @@ class DiscretizedChannel:
 
 def default_output_j(input_j: int, sigma2: float, step: float) -> int:
     """Widen the output lattice by ceil(4 sigma / step) cells beyond the input's."""
-    if not sigma2 > 0:
-        raise ValueError("sigma2 must be positive")
+    _positive(sigma2=sigma2, step=step)
     return input_j + int(math.ceil(4.0 * math.sqrt(sigma2) / step))
 
 
@@ -162,14 +165,15 @@ def to_dmc(
     lattice has at most pair_check_limit points and on adjacent rows (the
     closest rows, including the saturating extremes) otherwise.
     """
-    if not sigma2 > 0:
-        raise ValueError("sigma2 must be positive")
-    if not power > 0:
-        raise ValueError("power must be positive")
+    _positive(sigma2=sigma2, power=power, step=step)
     if output_j is None:
         output_j = default_output_j(input_j, sigma2, step)
     if output_j < input_j:
         raise ValueError("output lattice must be at least as wide as the input lattice")
+    need = 32 * (2 * input_j + 1) * (2 * output_j + 1)  # four float64 copies of the matrix at the peak
+    if need > _MAX_BUILD_BYTES:
+        raise BudgetError(f"memory budget of {_MAX_BUILD_BYTES} bytes exceeded: a "
+                          f"{2 * input_j + 1} x {2 * output_j + 1} channel can take {need} bytes")
     inp = lattice(step, input_j)
     out = lattice(step, output_j)
     sd = math.sqrt(sigma2)

@@ -17,14 +17,14 @@ the clean counting argument for yield.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .capacity import entropy_bits, max_entropy_pmf
 from .channels import Dmc, _transmit_rows, dmc_from_dict, dmc_to_dict, input_cost, reduce_channel
-from .errors import BudgetError, ConstructionError
+from .errors import _MAX_BUILD_BYTES, BudgetError, ConstructionError
 from .stats import DEFAULT_PAIR_BUDGET, SimReport, _chunk_rows, _closest_first_pairs, _in_chunks, _simulate
 from .typicality import (
     _TIE_GUARD,
@@ -51,13 +51,11 @@ _MAX_PAIRWISE_WORDS = 2**14
 _SCAN_ROWS = 256
 _SCAN_BYTES = 2**26
 
-# A build is refused before it allocates when its peak could pass this many
-# bytes. The words take up to 24 bytes a sampled symbol (int64: the sample,
-# the kept words in the channel's letters, then the codebook's copy); the
-# estimate allows 32. Faithful mode adds 12 bytes a sampled pair (int64
-# distances and the float32 agreements they come from), greedy mode the
-# scan's _SCAN_BYTES.
-_MAX_BUILD_BYTES = 2**32
+# The build's peak, checked against _MAX_BUILD_BYTES: the words take up to 24
+# bytes a sampled symbol (int64: the sample, the kept words in the channel's
+# letters, then the codebook's copy); the estimate allows 32. Faithful mode
+# adds 12 bytes a sampled pair (int64 distances and the float32 agreements
+# they come from), greedy mode the scan's _SCAN_BYTES.
 
 # Stands in for "no other word": larger than every Hamming distance.
 _FAR = np.iinfo(np.int64).max
@@ -130,24 +128,7 @@ class ConstructionReport:
     notes: tuple[str, ...] = field(default=())
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "rate": self.rate,
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-            "mode": self.mode,
-            "seed": self.seed,
-            "backoff": self.backoff,
-            "separation": self.separation,
-            "requested_words": self.requested_words,
-            "kept_words": self.kept_words,
-            "dropped_words": self.dropped_words,
-            "base_counts": list(self.base_counts),
-            "base_entropy_bits": self.base_entropy_bits,
-            "mean_cost": self.mean_cost,
-            "min_distance": self.min_distance,
-            "notes": list(self.notes),
-        }
+        return {**asdict(self), "base_counts": list(self.base_counts), "notes": list(self.notes)}
 
 
 def construction_base_type(channel: Dmc, n: int, cost_margin: float = 0.0) -> EmpiricalType:

@@ -18,6 +18,11 @@ class BudgetError(DiCodesError):
     """
 
 
+# Builds (DMC codebooks, Gaussian packings, discretized channels) are refused
+# before they allocate when their peak could pass this many bytes.
+_MAX_BUILD_BYTES = 2**32
+
+
 class InfeasibleConstraintError(DiCodesError, ValueError):
     """No input distribution can satisfy the cost constraint."""
 

@@ -45,7 +45,7 @@ from scipy.spatial import cKDTree
 
 from ._threads import worker_count
 from .channels import GaussChannel, gauss_from_dict, gauss_to_dict
-from .errors import ConstructionError
+from .errors import _MAX_BUILD_BYTES, BudgetError, ConstructionError
 from .stats import DEFAULT_PAIR_BUDGET, SimReport, _closest_first_pairs, _simulate
 
 DEFAULT_PROBE_BUDGET = 10**5
@@ -251,7 +251,9 @@ def build_gauss_codebook(
     a fixed size, so results are reproducible bit for bit regardless of where
     the run stops. In high dimensions saturation is unreachable in any
     reasonable time; pass max_centers to cap the packing (the certificate
-    then says so instead of claiming saturation).
+    then says so instead of claiming saturation). Raises BudgetError, before
+    sampling, when the cap or the saturated count (whichever is lower) could
+    pass _MAX_BUILD_BYTES.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -266,6 +268,13 @@ def build_gauss_codebook(
     r0, r1 = packing_radii(channel.power, epsilon)
     if r1 <= 0:
         raise ConstructionError("epsilon leaves no room inside the power ball")
+    # A saturated packing holds at least the bound's centers; a center scalar
+    # takes up to 40 bytes (doubling buffer, the tree's and the codebook's copies).
+    bound = packing_lower_bound(channel.power, epsilon, n)
+    fewest = min(max_centers or math.inf, bound)
+    if 40 * fewest * n > _MAX_BUILD_BYTES:
+        raise BudgetError(f"memory budget of {_MAX_BUILD_BYTES} bytes exceeded: "
+                          f"{fewest:.4g} centers of length {n} can take {40 * fewest * n:.4g} bytes")
     min_d = 2.0 * r0
     min_d2 = min_d * min_d
 
@@ -348,7 +357,7 @@ def build_gauss_codebook(
         candidates_processed=processed,
         probe_trials=probe_trials,
         probe_covered=covered,
-        lower_bound=packing_lower_bound(channel.power, epsilon, n),
+        lower_bound=bound,
         seed=seed,
     )
     return codebook, certificate

@@ -109,25 +109,11 @@ class SimReport:
         return max(self.pe2_estimates, default=0.0)
 
     def to_dict(self) -> dict:
-        pe1 = [
-            {
-                "message": i,
-                "errors": e,
-                "estimate": e / self.trials,
-                "wilson": list(wilson_interval(e, self.trials)),
-            }
-            for i, e in zip(self.pe1_index, self.pe1_errors)
-        ]
-        pe2 = [
-            {
-                "sender": i,
-                "target": j,
-                "errors": e,
-                "estimate": e / self.trials,
-                "wilson": list(wilson_interval(e, self.trials)),
-            }
-            for (i, j), e in zip(self.pe2_pairs, self.pe2_errors)
-        ]
+        def record(e: int) -> dict:
+            return {"errors": e, "estimate": e / self.trials, "wilson": list(wilson_interval(e, self.trials))}
+
+        pe1 = [{"message": i, **record(e)} for i, e in zip(self.pe1_index, self.pe1_errors)]
+        pe2 = [{"sender": i, "target": j, **record(e)} for (i, j), e in zip(self.pe2_pairs, self.pe2_errors)]
         out = {
             "trials": self.trials,
             "seed": self.seed,

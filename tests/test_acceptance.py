@@ -9,7 +9,7 @@ weakened; the fitted decay rate behind the same data is asserted for real.
 
 import pytest
 
-from di_codes import CheckResult, acceptance, format_line, run_checks
+from di_codes import CheckResult, acceptance, bsc, estimate_L, format_line, run_checks
 
 # The battery in definition order, with the fixture that runs each check.
 REGISTRY = {
@@ -136,6 +136,15 @@ def test_overlap_fitted_decay_rate_is_positive(intersection_check):
     assert intersection_check.expected_failure
     assert intersection_check.details["fitted_L"] > 0
     assert intersection_check.within_limit
+
+
+def test_overlap_series_is_pinned(intersection_check):
+    # Exact enumerations, and estimate_L fits the very same series.
+    d = intersection_check.details
+    assert d["separations"] == [4, 4, 6, 6]
+    assert d["ratios"] == [0.25, 0.16, 0.28125, 0.1859504132231405]
+    assert d["fitted_L"] == 0.016193624375731238
+    assert estimate_L(bsc(0.1), 0.5, 0.15, (6, 8, 10, 12)) == d["fitted_L"]
 
 
 @pytest.mark.xfail(

@@ -29,6 +29,7 @@ from di_codes import (
     gaussian_rate_bound,
     max_entropy_pmf,
     min_same_type_distance,
+    reduce_channel,
     same_type_pair,
 )
 from di_codes.typicality import empirical_type, hamming_distance
@@ -133,6 +134,26 @@ def test_di_capacity_sees_only_distinct_rows():
     ch = Dmc(matrix=m, cost=(0.0, 0.0, 0.0, 0.0), constraint=0.0)
     assert di_capacity(ch).value_bits == 1.0
     assert di_capacity(bsc(0.5)).value_bits == 0.0
+
+
+@given(
+    rows=st.lists(st.lists(st.floats(0.01, 1.0), min_size=3, max_size=3), min_size=1, max_size=4),
+    copies=st.lists(st.integers(0, 3), min_size=1, max_size=4),
+    costs=st.lists(st.floats(0.0, 10.0), min_size=8, max_size=8),
+    slack=st.floats(0.0, 1.0),
+)
+def test_reduction_keeps_the_cheapest_letter(rows, copies, costs, slack):
+    # Dmc refuses a constraint below its cheapest letter and reduction keeps
+    # the cheapest letter of every class, so the reduced channel can always
+    # meet its constraint and di_capacity raises nothing.
+    base = np.asarray(rows) / np.sum(rows, axis=1, keepdims=True)
+    matrix = np.concatenate([base, base[[c % len(rows) for c in copies]]])
+    cost = np.asarray(costs[: matrix.shape[0]])
+    channel = Dmc(matrix=matrix, cost=cost, constraint=cost.min() + slack * (cost.max() - cost.min()))
+    reduced, _ = reduce_channel(channel)
+    assert reduced.cost.min() == cost.min()
+    assert reduced.constraint >= reduced.cost.min()
+    assert di_capacity(channel).maximizer.size == reduced.input_size
 
 
 def test_bsc_capacity_curve_shape():

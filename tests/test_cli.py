@@ -22,10 +22,17 @@ from di_codes import (
     bsc,
     build_codebook,
     build_gauss_codebook,
+    default_output_j,
+    discretize,
+    discretize_value,
     discretized_entropy,
     dmc_code,
     dmc_to_dict,
     entropy_defect,
+    gauss_code,
+    input_pmf,
+    lattice,
+    to_dmc,
 )
 from di_codes.cli import EXIT_BUDGET, EXIT_FAILURE, EXIT_OK, _json_chunks, main
 
@@ -202,6 +209,76 @@ def test_dmc_refuses_non_finite_input(tmp_path_factory, name, bad):
     assert out.getvalue() == ""
     lines = err.getvalue().splitlines()
     assert len(lines) == len(argvs) and all(line.startswith("di-codes: error:") for line in lines)
+
+
+_DISCRETIZE_ARGS = {"sigma2": 1.0, "power": 1.0, "step": 0.5}
+
+
+@given(
+    name=st.sampled_from(sorted(_DISCRETIZE_ARGS)),
+    bad=st.sampled_from([math.nan, math.inf, -math.inf, 0.0]),
+)
+def test_discretize_refuses_non_finite_or_non_positive_input(name, bad):
+    # sigma2, power or step NaN, infinite or zero: every discretizer entry
+    # point raises ValueError naming it, and the CLI exits 1 with one line,
+    # before any numeric warning and without a payload.
+    args = dict(_DISCRETIZE_ARGS, **{name: bad})
+    calls = {
+        "sigma2": [lambda: default_output_j(4, bad, 0.5)],
+        "power": [lambda: input_pmf(bad, 0.5, 4)],
+        "step": [lambda: lattice(bad, 4), lambda: discretize_value(0.3, bad, 4),
+                 lambda: default_output_j(4, 1.0, bad), lambda: input_pmf(1.0, bad, 4)],
+    }[name] + [lambda: to_dmc(input_j=4, **args)]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+                call()
+        tracemalloc.start()
+        try:
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(["discretize", "--input-j", "4", *(f"--{k}={v}" for k, v in args.items())])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert code == EXIT_FAILURE
+    assert out.getvalue() == ""
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("di-codes: error:") and name in lines[0]
+    assert peak < 2**24
+
+
+@pytest.mark.parametrize("argv, stage", [
+    # 17 x 8 000 017 entries: 4.35e9 bytes at the peak
+    (["discretize", "--sigma2", "1", "--power", "1", "--step", "1e-6", "--input-j", "8"],
+     (discretize, "_cell_probabilities")),
+    # saturation needs at least 6.4e41 centers
+    (["codebook-gauss", "--n", "64", "--epsilon", "0.01", "--delta", "0.1", "--seed", "1"],
+     (gauss_code, "_sample_ball")),
+    (["codebook-gauss", "--n", "64", "--epsilon", "0.01", "--delta", "0.1", "--seed", "1",
+      "--max-centers", "2000000"], (gauss_code, "_sample_ball")),
+])
+def test_builds_that_cannot_fit_are_refused_before_they_start(argv, stage, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("built before the budget check")
+
+    monkeypatch.setattr(*stage, no_work)
+    out, err = io.StringIO(), io.StringIO()
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_BUDGET
+    assert out.getvalue() == ""
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("di-codes: budget exceeded: memory budget")
+    assert peak < 2**24
 
 
 def test_discretize_payload_and_channel_output(tmp_path, capsys):

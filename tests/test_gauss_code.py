@@ -59,6 +59,35 @@ def test_packing_lower_bound_trivial_for_large_epsilon():
     assert packing_lower_bound(1.0, 0.5, 10) < 1.0
 
 
+
+@pytest.mark.parametrize("power, kwargs", [
+    (1.0, dict(n=6, epsilon=0.01, delta=0.1)),  # gauss-saturation-count: bound 8 304
+    (1.0, dict(n=5, epsilon=0.01, delta=0.1)),  # the gauss-pack workload: bound 1 845
+    (2.0, dict(n=10000, epsilon=0.3, delta=0.1, max_centers=12)),  # gauss-error-decay
+    (1.0, dict(n=8, epsilon=0.05, delta=0.1, max_centers=64)),  # determinism-replay
+    # a cap far past the bound (3 centers): saturation comes first, so it fits
+    (1.0, dict(n=2, epsilon=0.05, delta=0.1, max_centers=10**15)),
+])
+def test_packings_that_fit_are_not_refused(power, kwargs, monkeypatch):
+    class Sampled(Exception):
+        pass
+
+    def sampled(*args, **kw):
+        raise Sampled
+
+    monkeypatch.setattr(gauss_code, "_sample_ball", sampled)
+    with pytest.raises(Sampled):
+        build_gauss_codebook(GaussChannel(1.0, power), seed=1, **kwargs)
+
+
+def test_packing_refusal_names_the_budget():
+    # Saturation at n = 64 needs 6.4e41 centers; a cap of 2e6 still passes 4 GiB.
+    with pytest.raises(di_codes.BudgetError, match="memory budget"):
+        build_gauss_codebook(GaussChannel(1.0, 1.0), n=64, epsilon=0.01, delta=0.1, seed=1)
+    with pytest.raises(di_codes.BudgetError, match="2e\\+06 centers of length 64"):
+        build_gauss_codebook(GaussChannel(1.0, 1.0), n=64, epsilon=0.01, delta=0.1, seed=1,
+                             max_centers=2 * 10**6)
+
 # --- candidate sampler ---
 
 
