@@ -56,6 +56,25 @@ from .typicality import binary_entropy
 _SEED = 20260817
 
 
+def _duplicate_first(cb: DmcCodebook) -> DmcCodebook:
+    """``cb`` with word 1 replaced by a copy of word 0, at separation 0."""
+    words = cb.words.copy()
+    words[1] = words[0]
+    return DmcCodebook(channel=cb.channel, words=words, epsilon=0.0, delta=cb.delta)
+
+
+def _duplicated_rows(rng: np.random.Generator, configs: int, fewest: int, high: int, extras: int):
+    """Yield (k, channel) for ``configs`` DMCs: k in [fewest, high) Dirichlet rows over
+    [2, high) outputs plus 1 to extras - 1 copies, shuffled; uniform costs, max as ceiling."""
+    for _ in range(configs):
+        k = int(rng.integers(fewest, high))
+        base = rng.dirichlet(np.ones(int(rng.integers(2, high))), size=k)
+        rows = np.concatenate([base, base[rng.integers(0, k, size=int(rng.integers(1, extras)))]])
+        rows = rows[rng.permutation(rows.shape[0])]
+        cost = rng.uniform(0.0, 1.0, rows.shape[0])
+        yield k, Dmc(matrix=rows, cost=cost, constraint=float(cost.max()))
+
+
 @dataclass(frozen=True)
 class CheckResult:
     """Outcome of one acceptance check."""
@@ -147,15 +166,7 @@ def check_distinct_rows_capacity():
     rng = np.random.default_rng(np.random.SeedSequence(_SEED + 2))
     exact = 0
     configs = 50
-    for _ in range(configs):
-        k_dist = int(rng.integers(1, 9))
-        out = int(rng.integers(2, 9))
-        base = rng.dirichlet(np.ones(out), size=k_dist)
-        extras = int(rng.integers(1, 5))
-        rows = np.concatenate([base, base[rng.integers(0, k_dist, size=extras)]])
-        rows = rows[rng.permutation(rows.shape[0])]
-        cost = rng.uniform(0.0, 1.0, rows.shape[0])
-        channel = Dmc(matrix=rows, cost=cost, constraint=float(cost.max()))
+    for k_dist, channel in _duplicated_rows(rng, configs, 1, 9, 5):
         got = di_capacity(channel)
         if got.maximizer.size == k_dist and got.value_bits == math.log2(k_dist):
             exact += 1
@@ -173,16 +184,7 @@ def check_reduction_equivalence():
     max_diff = 0.0
     comparisons = 0
     violations = 0
-    for _ in range(configs):
-        k_base = int(rng.integers(2, 5))
-        out = int(rng.integers(2, 5))
-        base = rng.dirichlet(np.ones(out), size=k_base)
-        copies = rng.integers(0, k_base, size=int(rng.integers(1, 4)))
-        rows = np.concatenate([base, base[copies]])
-        perm = rng.permutation(rows.shape[0])
-        rows = rows[perm]
-        cost = rng.uniform(0.0, 1.0, rows.shape[0])
-        channel = Dmc(matrix=rows, cost=cost, constraint=float(cost.max()))
+    for _, channel in _duplicated_rows(rng, configs, 2, 5, 4):
         reduced, rmap = reduce_channel(channel)
         class_of = np.asarray(rmap.class_of)
         # one letter per class, not necessarily the representative
@@ -281,11 +283,8 @@ def check_duplicate_codeword_identity():
     cb, _ = build_codebook(
         channel, n=100, rate=0.03, epsilon=0.0, delta=0.03, seed=_SEED + 6,
     )
-    words = cb.words.copy()
-    words[1] = words[0]
-    dup = DmcCodebook(channel=channel, words=words, epsilon=0.0, delta=cb.delta)
     trials = 10**4
-    res = same_codeword_conflict(dup, 0, 1, trials=trials, seed=_SEED + 60)
+    res = same_codeword_conflict(_duplicate_first(cb), 0, 1, trials=trials, seed=_SEED + 60)
     pe1, pe2 = res["pe1_estimate"], res["pe2_estimate"]
     hits_i, hits_j = trials - round(pe1 * trials), round(pe2 * trials)
     band = 3.0 * math.sqrt(pe1 * (1 - pe1) / trials + pe2 * (1 - pe2) / trials)
@@ -466,9 +465,7 @@ def check_determinism_replay():
             cb, trials=400, seed=_SEED + 13, pair_budget=4, message_budget=3
         ).to_dict(),
     )
-    words = cb.words.copy()
-    words[1] = words[0]
-    dup = DmcCodebook(channel=channel, words=words, epsilon=0.0, delta=cb.delta)
+    dup = _duplicate_first(cb)
     twice(
         "duplicate-conflict",
         lambda: same_codeword_conflict(dup, 0, 1, trials=400, seed=_SEED + 14),

@@ -28,6 +28,7 @@ import numpy as np
 
 from .channels import Dmc, reduce_channel
 from .errors import BudgetError, InfeasibleConstraintError
+from .gauss_code import packing_radii
 from .typicality import (
     DEFAULT_ENUMERATION_BUDGET,
     EmpiricalType,
@@ -186,10 +187,7 @@ def bsc_capacity_curve(crossover: float, grid: Sequence[float]) -> list[tuple[fl
 
 def gaussian_rate_bound(power: float, epsilon: float) -> float:
     """Guaranteed identification rate (1/2)log2(power/eps) - 1 of sphere packing."""
-    if not power > 0:
-        raise ValueError("power must be positive")
-    if not 0.0 < epsilon < power:
-        raise ValueError("epsilon must lie strictly between 0 and power")
+    packing_radii(power, epsilon)
     return 0.5 * math.log2(power / epsilon) - 1.0
 
 

@@ -19,6 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InfeasibleConstraintError
+from .typicality import _as_word
 
 # Two rows are the same letter "seen from the output" when they agree entrywise
 # to this tolerance.
@@ -181,11 +182,7 @@ def reduce_channel(channel: Dmc) -> tuple[Dmc, ReductionMap]:
 
 def transmit_dmc(channel: Dmc, codeword: Sequence[int] | np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Sample one channel output block for ``codeword`` (inverse-cdf per symbol)."""
-    word = np.asarray(codeword, dtype=np.int64)
-    if word.ndim != 1:
-        raise ValueError("codeword must be one-dimensional")
-    if word.size and (word.min() < 0 or word.max() >= channel.input_size):
-        raise ValueError("codeword letter outside the input alphabet")
+    word = _as_word(codeword, channel.input_size, "codeword")
     return _transmit_rows(channel._guide, word, rng.random((1, word.size)))[0].astype(np.int64)
 
 
@@ -236,11 +233,9 @@ def transmit_gauss(channel: GaussChannel, codeword: Sequence[float] | np.ndarray
 
 def input_cost(channel: Dmc, codeword: Sequence[int] | np.ndarray) -> float:
     """Average per-letter cost of ``codeword``."""
-    word = np.asarray(codeword, dtype=np.int64)
-    if word.ndim != 1 or word.size == 0:
-        raise ValueError("codeword must be a nonempty vector")
-    if word.min() < 0 or word.max() >= channel.input_size:
-        raise ValueError("codeword letter outside the input alphabet")
+    word = _as_word(codeword, channel.input_size, "codeword")
+    if word.size == 0:
+        raise ValueError("codeword must be nonempty")
     return float(channel.cost[word].mean())
 
 

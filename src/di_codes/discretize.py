@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 
 import numpy as np
 from scipy.special import ndtr
@@ -145,9 +146,13 @@ class DiscretizedChannel:
 
 
 def default_output_j(input_j: int, sigma2: float, step: float) -> int:
-    """Widen the output lattice by ceil(4 sigma / step) cells beyond the input's."""
+    """Widen the output lattice by ceil(4 sigma / step) cells beyond the input's;
+    BudgetError when that count overflows a float."""
     _positive(sigma2=sigma2, step=step)
-    return input_j + int(math.ceil(4.0 * math.sqrt(sigma2) / step))
+    cells = 4.0 * math.sqrt(sigma2) / step
+    if not math.isfinite(cells):
+        raise BudgetError(f"memory budget of {_MAX_BUILD_BYTES} bytes exceeded: step {step:g} needs {cells} output cells")
+    return input_j + int(math.ceil(cells))
 
 
 def to_dmc(
@@ -172,8 +177,8 @@ def to_dmc(
         raise ValueError("output lattice must be at least as wide as the input lattice")
     need = 32 * (2 * input_j + 1) * (2 * output_j + 1)  # four float64 copies of the matrix at the peak
     if need > _MAX_BUILD_BYTES:
-        raise BudgetError(f"memory budget of {_MAX_BUILD_BYTES} bytes exceeded: a "
-                          f"{2 * input_j + 1} x {2 * output_j + 1} channel can take {need} bytes")
+        raise BudgetError(f"memory budget of {_MAX_BUILD_BYTES} bytes exceeded: a {Decimal(2 * input_j + 1):.4g} "
+                          f"x {Decimal(2 * output_j + 1):.4g} channel can take {Decimal(need):.4g} bytes")
     inp = lattice(step, input_j)
     out = lattice(step, output_j)
     sd = math.sqrt(sigma2)

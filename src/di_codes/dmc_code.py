@@ -29,6 +29,7 @@ from .stats import DEFAULT_PAIR_BUDGET, SimReport, _chunk_rows, _closest_first_p
 from .typicality import (
     _TIE_GUARD,
     EmpiricalType,
+    TypicalityParams,
     _aligned,
     _conditional_targets,
     _hamming_blocks,
@@ -89,8 +90,7 @@ class DmcCodebook:
             raise ValueError("codeword letter outside the input alphabet")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError("epsilon must lie in [0, 1]")
-        if not (self.delta >= 0.0 and math.isfinite(self.delta)):
-            raise ValueError("delta must be a nonnegative finite number")
+        TypicalityParams(self.delta)
         if self.base is not None and self.base.n != w.shape[1]:
             raise ValueError("base type length disagrees with the words")
         w = w.copy()
@@ -257,8 +257,7 @@ def build_codebook(
         raise ValueError("mode must be 'faithful' or 'greedy'")
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError("epsilon must lie in [0, 1]")
-    if not (delta >= 0 and math.isfinite(delta)):
-        raise ValueError("delta must be a nonnegative finite number")
+    TypicalityParams(delta)
     if backoff is not None and not math.isfinite(backoff):
         raise ValueError("backoff must be finite")
 

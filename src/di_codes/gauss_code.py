@@ -25,7 +25,8 @@ yet every decision is a candidate-by-candidate scan's: the tree of the
 group's start only leaves more survivors to the dense checks, which cover
 every center it lacks with the scan's own arithmetic; batches drawn past the
 stop are discarded. Large tree queries run on DI_CODES_THREADS workers, and
-results do not depend on their number.
+results do not depend on their number. Each codebook builds one tree, shared
+by the probe pass, min_center_distance and the simulator's closest pair.
 
 The decoder thresholds the empirical noise energy: accept candidate j iff
 (1/n) * ||y - x_j||^2 <= sigma2 + delta. Chebyshev-style reference bounds for
@@ -36,6 +37,7 @@ against the simulated rates; they assume the coupling eps >= 3 * delta.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -78,7 +80,8 @@ class GaussCodebook:
 
     centers holds normalized codewords (rows, in the r1-ball); the physical
     codeword of message j is sqrt(n) * centers[j]. epsilon is the packing
-    parameter (r0 = sqrt(epsilon)), delta the decoder's energy slack.
+    parameter (r0 = sqrt(epsilon)), delta the decoder's energy slack. The one
+    k-d tree (_tree) serves the probe pass, min_center_distance and simulator.
     """
 
     channel: GaussChannel
@@ -90,8 +93,7 @@ class GaussCodebook:
         c = np.asarray(self.centers, dtype=np.float64)
         if c.ndim != 2 or c.shape[1] < 1:
             raise ValueError("centers must be an (L, n) array")
-        if not 0.0 < self.epsilon < self.channel.power:
-            raise ValueError("epsilon must lie strictly between 0 and the power")
+        packing_radii(self.channel.power, self.epsilon)
         if not (math.isfinite(self.delta) and self.delta >= 0.0):
             raise ValueError("delta must be a nonnegative finite number")
         if c.size and float((c * c).sum(axis=1).max()) > self.channel.power + 1e-9:
@@ -107,6 +109,10 @@ class GaussCodebook:
     @property
     def block_length(self) -> int:
         return self.centers.shape[1]
+
+    @functools.cached_property
+    def _tree(self) -> cKDTree:
+        return cKDTree(self.centers)  # shares the read-only centers, adds its index
 
     def codeword(self, j: int) -> np.ndarray:
         """Physical (unnormalized) codeword of message j."""
@@ -268,8 +274,8 @@ def build_gauss_codebook(
     r0, r1 = packing_radii(channel.power, epsilon)
     if r1 <= 0:
         raise ConstructionError("epsilon leaves no room inside the power ball")
-    # A saturated packing holds at least the bound's centers; a center scalar
-    # takes up to 40 bytes (doubling buffer, the tree's and the codebook's copies).
+    # A saturated packing holds at least the bound's centers; a center scalar takes
+    # up to 40 bytes (tracemalloc: 32.1 at n = 8 just past a doubling, 65 537 centers).
     bound = packing_lower_bound(channel.power, epsilon, n)
     fewest = min(max_centers or math.inf, bound)
     if 40 * fewest * n > _MAX_BUILD_BYTES:
@@ -325,7 +331,7 @@ def build_gauss_codebook(
                 if float((diff * diff).sum(axis=1).min()) < min_d2:
                     continue
             if kept_count == kept_buf.shape[0]:
-                kept_buf = np.concatenate([kept_buf, np.empty_like(kept_buf)])
+                kept_buf = np.resize(kept_buf, (2 * kept_count, n))  # rows past kept_count are written before use
             kept_buf[kept_count] = cand[s]
             kept_count += 1
             processed += 1
@@ -334,24 +340,23 @@ def build_gauss_codebook(
             if max_centers is not None and kept_count >= max_centers:
                 stop_reason = "center_cap"
                 break
-        if kept_count - tree_count >= _PENDING_LIMIT:
+        if stop_reason is None and kept_count - tree_count >= _PENDING_LIMIT:
             tree = cKDTree(kept_buf[:kept_count])
             tree_count = kept_count
 
-    centers = kept_buf[:kept_count].copy()
-    codebook = GaussCodebook(channel=channel, centers=centers, epsilon=epsilon, delta=delta)
+    del tree, cand, group  # the loop's buffers, so the peak past here is kept_buf and one copy
+    codebook = GaussCodebook(channel=channel, centers=kept_buf[:kept_count], epsilon=epsilon, delta=delta)
 
     covered = 0
-    if probe_trials and centers.size:
-        final_tree = cKDTree(centers)
+    if probe_trials and kept_count:
         probe_rng = np.random.default_rng(probe_stream)
         block = max(1, _PROBE_SCALARS // n)
         for start in range(0, probe_trials, block):
             probes = _sample_ball(probe_rng, min(block, probe_trials - start), n, r1)
-            covered += int(_covered(final_tree, probes, min_d).sum())
+            covered += int(_covered(codebook._tree, probes, min_d).sum())
 
     certificate = SaturationCertificate(
-        center_count=centers.shape[0],
+        center_count=kept_count,
         stop_reason=stop_reason,
         consecutive_rejections=rejections,
         candidates_processed=processed,
@@ -392,12 +397,18 @@ def chebyshev_references(channel: GaussChannel, n: int, delta: float) -> tuple[f
     return pe1, pe2
 
 
+def _closest_pair(codebook: GaussCodebook) -> tuple[float, int, int]:
+    """(distance, i, j) of a closest pair of centers: one k=2 query on the codebook's tree."""
+    d, idx = _query(codebook._tree, codebook.centers, k=2)
+    i = int(np.argmin(d[:, 1]))
+    return float(d[i, 1]), i, int(idx[i, 1])
+
+
 def min_center_distance(codebook: GaussCodebook) -> float:
     """Smallest pairwise Euclidean distance between normalized centers."""
     if codebook.center_count < 2:
         return math.inf
-    d, _ = _query(cKDTree(codebook.centers), codebook.centers, k=2)
-    return float(d[:, 1].min())
+    return _closest_pair(codebook)[0]
 
 
 def simulate_gauss_errors(
@@ -426,14 +437,9 @@ def simulate_gauss_errors(
         diff *= diff
         return diff.sum(axis=1) / n <= threshold
 
-    def closest() -> tuple[int, int]:
-        d, idx = _query(cKDTree(codebook.centers), codebook.centers, k=2)
-        i = int(np.argmin(d[:, 1]))
-        return i, int(idx[i, 1])
-
     report = _simulate(
         codebook.center_count, trials, seed, message_budget,
-        lambda: _closest_first_pairs(codebook.center_count, pair_budget, closest),
+        lambda: _closest_first_pairs(codebook.center_count, pair_budget, lambda: _closest_pair(codebook)[1:]),
         accepts, n, n,
     )
     ref1, ref2 = chebyshev_references(codebook.channel, n, codebook.delta)

@@ -261,8 +261,13 @@ def test_transmit_empirical_frequencies():
 
 
 def test_transmit_rejects_bad_letters():
-    with pytest.raises(ValueError):
-        transmit_dmc(bsc(0.1), np.array([0, 2]), np.random.default_rng(0))
+    for word, message in [
+        (np.array([0, 2]), r"letter outside \[0, 2\)"),
+        (np.array([0, -1]), r"letter outside \[0, 2\)"),
+        (np.zeros((2, 2), dtype=np.int64), "one-dimensional"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            transmit_dmc(bsc(0.1), word, np.random.default_rng(0))
 
 
 def test_gauss_transmit_adds_noise_and_checks_power():
@@ -286,6 +291,18 @@ def test_gauss_channel_validation():
 def test_input_cost_mean():
     ch = Dmc(matrix=np.eye(3), cost=(0.0, 1.0, 4.0), constraint=4.0)
     assert input_cost(ch, [0, 1, 2, 2]) == pytest.approx(9.0 / 4.0)
+
+
+@pytest.mark.parametrize("word, message", [
+    ([0, 3], r"letter outside \[0, 3\)"),
+    ([0, -1], r"letter outside \[0, 3\)"),
+    ([[0, 1], [1, 2]], "one-dimensional"),
+    ([], "nonempty"),
+])
+def test_input_cost_rejects_bad_words(word, message):
+    ch = Dmc(matrix=np.eye(3), cost=(0.0, 1.0, 4.0), constraint=4.0)
+    with pytest.raises(ValueError, match=message):
+        input_cost(ch, word)
 
 
 # --- serialization ---

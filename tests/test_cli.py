@@ -258,6 +258,9 @@ def test_discretize_refuses_non_finite_or_non_positive_input(name, bad):
      (gauss_code, "_sample_ball")),
     (["codebook-gauss", "--n", "64", "--epsilon", "0.01", "--delta", "0.1", "--seed", "1",
       "--max-centers", "2000000"], (gauss_code, "_sample_ball")),
+    # 4 sqrt(sigma2) / step is 4e300 output cells, then inf for the two denormal steps
+    *((["discretize", "--sigma2", "1", "--power", "1", "--step", step, "--input-j", "1"],
+       (discretize, "_cell_probabilities")) for step in ("1e-300", "1e-310", "5e-324")),
 ])
 def test_builds_that_cannot_fit_are_refused_before_they_start(argv, stage, monkeypatch):
     def no_work(*args, **kwargs):

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from di_codes import (
     GaussChannel,
@@ -393,6 +394,23 @@ def test_gauss_pairs_start_with_closest():
     dist = np.sqrt((diffs * diffs).sum(axis=2))
     np.fill_diagonal(dist, np.inf)
     assert dist[i, j] == pytest.approx(dist.min(), abs=1e-12)
+    assert min_center_distance(cb) == pytest.approx(dist[i, j], abs=1e-12)
+
+
+def test_tree_is_built_once_per_codebook(monkeypatch):
+    sizes = []
+
+    def counting(data, *args, **kwargs):
+        sizes.append(len(data))
+        return cKDTree(data, *args, **kwargs)
+
+    monkeypatch.setattr("di_codes.gauss_code.cKDTree", counting)
+    cb, _ = small_build(epsilon=0.01)
+    assert cb.center_count > _PENDING_LIMIT  # so the loop builds trees over fewer centers
+    first, second = min_center_distance(cb), min_center_distance(cb)
+    simulate_gauss_errors(cb, trials=10, seed=1, pair_budget=2)
+    assert first == second
+    assert sizes.count(cb.center_count) == 1
 
 
 # --- serialization and validation ---
