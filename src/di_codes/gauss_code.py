@@ -37,6 +37,7 @@ against the simulated rates; they assume the coupling eps >= 3 * delta.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
 from dataclasses import dataclass, replace
@@ -72,6 +73,11 @@ _THREADED_ROWS = 8 * _BATCH
 
 # Approximation factor of the cover test's first stage; see _covered.
 _COVER_EPS = 3.0
+
+# A build's buffers reuse the process's freed heap, which glibc keeps resident up to
+# twice its dynamic mmap threshold, so what a build left resident would depend on what
+# ran before it. glibc's int malloc_trim(size_t) hands it back; elsewhere a no-op.
+_MALLOC_TRIM = getattr(ctypes.pythonapi, "malloc_trim", lambda pad: 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -345,6 +351,7 @@ def build_gauss_codebook(
             tree_count = kept_count
 
     del tree, cand, group  # the loop's buffers, so the peak past here is kept_buf and one copy
+    _MALLOC_TRIM(ctypes.c_size_t(0))
     codebook = GaussCodebook(channel=channel, centers=kept_buf[:kept_count], epsilon=epsilon, delta=delta)
 
     covered = 0

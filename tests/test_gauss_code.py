@@ -413,6 +413,13 @@ def test_tree_is_built_once_per_codebook(monkeypatch):
     assert sizes.count(cb.center_count) == 1
 
 
+def test_build_hands_freed_heap_back_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(gauss_code, "_MALLOC_TRIM", calls.append)
+    small_build(epsilon=0.01)
+    assert [pad.value for pad in calls] == [0]
+
+
 # --- serialization and validation ---
 
 

@@ -435,6 +435,14 @@ def test_joint_type_marginals():
     assert jt.output_marginal() == EmpiricalType((2, 2), 4)
 
 
+
+def test_joint_type_refuses_what_an_empirical_type_refuses():
+    with pytest.raises(ValueError, match="negative count"):
+        typicality.JointType(((1, -1), (2, 2)), 4)
+    with pytest.raises(ValueError, match="counts do not sum to n"):
+        typicality.JointType(((1, 1), (2, 2)), 5)
+    assert typicality.JointType(((0, 0), (0, 0)), 0).matrix().sum() == 0
+
 @given(kx=st.integers(1, 6), ky=st.integers(1, 6), n=st.integers(0, 40), seed=st.integers(0, 2**32 - 1))
 def test_joint_type_marginals_are_the_empirical_types(kx, ky, n, seed):
     g = np.random.default_rng(seed)
