@@ -12,10 +12,14 @@ backs the achievability bound (the surviving words are exactly the sampled
 words whose spheres contain no other sample). The "greedy" policy keeps a
 maximal prefix-greedy subset and typically retains far more words; it trades
 the clean counting argument for yield.
+
+Each codebook measures its closest pair once, in bounded memory at any size,
+for its build report, validate_codebook and select_pairs alike.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
@@ -44,9 +48,6 @@ from .typicality import (
 
 DEFAULT_MAX_WORDS = 2**20
 
-# Pairwise-distance matrices are dense; cap the word count they are built for.
-_MAX_PAIRWISE_WORDS = 2**14
-
 # The greedy scan decides candidates in blocks of at most _SCAN_ROWS, fewer
 # when a block's distances to the kept words would pass _SCAN_BYTES.
 _SCAN_ROWS = 256
@@ -70,7 +71,8 @@ class DmcCodebook:
     the codebook came out of the standard construction; manually assembled
     codebooks (arbitrary word lists) may leave it None. epsilon is the
     separation parameter the words were built for, delta the decoder's
-    typicality tolerance.
+    typicality tolerance. The closest pair (_closest) is measured once, in
+    bounded memory at any size.
     """
 
     channel: Dmc
@@ -104,6 +106,24 @@ class DmcCodebook:
     @property
     def block_length(self) -> int:
         return self.words.shape[1]
+
+    @functools.cached_property
+    def _closest(self) -> tuple[int, int, int] | None:
+        """(distance, i, j) of the closest pair, i < j, the first np.argmin finds
+        in the full matrix; None below two words. Each row block's distances
+        and the float32 agreements they come from take about _SCAN_BYTES."""
+        m = self.word_count
+        rows = max(1, _SCAN_BYTES // (12 * max(1, m)))
+
+        def least(s: int) -> tuple[int, int, int]:
+            # A block of every word passes words itself, so one one-hot table serves both sides.
+            block = self.words if rows >= m else self.words[s:s + rows]
+            dist = _hamming_blocks(block, self.words, np.arange(self.channel.input_size))
+            np.fill_diagonal(dist[:, s:], _FAR)
+            i, j = divmod(int(np.argmin(dist)), m)
+            return int(dist[i, j]), s + i, j  # dist is freed before the next block's
+
+        return min(map(least, range(0, m, rows))) if m > 1 else None
 
 
 @dataclass(frozen=True)
@@ -169,41 +189,22 @@ def drop_close_pairs(words: np.ndarray, separation: int, alphabet_size: int) -> 
     survives iff no other sampled word lies strictly inside its separation
     radius. Symmetric, order-independent, idempotent.
     """
-    return _faithful_scan(words, separation, alphabet_size)[0]
-
-
-def _faithful_scan(
-    words: np.ndarray, separation: int, alphabet_size: int
-) -> tuple[np.ndarray, int | None]:
-    """The faithful keep-mask and the least distance between two kept words,
-    both from one distance matrix; the distance is None below two kept words."""
     dist = pairwise_hamming(words, alphabet_size)
     np.fill_diagonal(dist, _FAR)
-    keep = dist.min(axis=1, initial=_FAR) >= separation
-    dist[~keep] = _FAR
-    least = int(dist.min(axis=0, initial=_FAR)[keep].min(initial=_FAR))
-    return keep, (None if least == _FAR else least)
+    return dist.min(axis=1, initial=_FAR) >= separation
 
 
 def greedy_select(words: np.ndarray, separation: int) -> np.ndarray:
-    """Keep-mask of the prefix-greedy packing: scan order, keep if far from kept."""
-    return _greedy_scan(words, separation)[0]
-
-
-def _greedy_scan(words: np.ndarray, separation: int) -> tuple[np.ndarray, int | None]:
-    """The greedy keep-mask and the least distance between two kept words.
+    """Keep-mask of the prefix-greedy packing: scan order, keep if far from kept.
 
     Candidates are decided a block at a time: one kernel call against the
     words kept so far and one within the block, then a pass in scan order, so
-    every decision is the one the word-by-word scan makes. Each kept pair is
-    compared once, when its later word is scanned; the least distance is None
-    when fewer than two words are kept.
+    every decision is the one the word-by-word scan makes.
     """
     m = words.shape[0]
     keep = np.zeros(m, dtype=bool)
     letters = np.unique(words)
     kept = words[:0]
-    least = _FAR
     start = 0
     while start < m:
         rows = max(1, min(_SCAN_ROWS, _SCAN_BYTES // (12 * max(1, kept.shape[0]))))
@@ -214,11 +215,10 @@ def _greedy_scan(words: np.ndarray, separation: int) -> tuple[np.ndarray, int | 
         for i in range(block.shape[0]):
             if near[i] >= separation:
                 keep[start + i] = True
-                least = min(least, int(near[i]))
                 np.minimum(near[i + 1:], inner[i, i + 1:], out=near[i + 1:])
         kept = np.concatenate([kept, block[keep[start:start + rows]]])
         start += rows
-    return keep, (None if least == _FAR else least)
+    return keep
 
 
 def build_codebook(
@@ -284,26 +284,31 @@ def build_codebook(
             f"memory budget of {_MAX_BUILD_BYTES} bytes exceeded: "
             f"{requested} words of length {n} need up to {need} bytes"
         )
-    if mode == "faithful" and requested > _MAX_PAIRWISE_WORDS:
-        raise BudgetError(f"pairwise budget {_MAX_PAIRWISE_WORDS} exceeded: {requested} words")
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     sampled = sample_type_class(base_reduced, requested, rng)
     separation = distance_threshold(n, epsilon)
     if mode == "faithful":
-        keep, min_distance = _faithful_scan(sampled, separation, reduced.input_size)
+        keep = drop_close_pairs(sampled, separation, reduced.input_size)
     else:
-        keep, min_distance = _greedy_scan(sampled, separation)
-    kept = int(keep.sum())
-    if kept > _MAX_PAIRWISE_WORDS:
-        min_distance = None  # reported only where validate_codebook reports it
+        keep = greedy_select(sampled, separation)
     reps = np.asarray(rmap.representative, dtype=np.int64)
-    words = reps[sampled[keep]] if kept else np.empty((0, n), dtype=np.int64)
+    words = reps[sampled[keep]]
 
     base_counts = [0] * channel.input_size
     for c, rep in enumerate(rmap.representative):
         base_counts[rep] = base_reduced.counts[c]
     base = EmpiricalType(tuple(base_counts), n)
+    codebook = DmcCodebook(
+        channel=channel,
+        words=words,
+        epsilon=epsilon,
+        delta=delta,
+        rate=rate,
+        base=base,
+    )
+    del sampled, words  # the closest pair is measured on the codebook's copy alone
+    kept = codebook.word_count
 
     report = ConstructionReport(
         n=n,
@@ -319,8 +324,8 @@ def build_codebook(
         dropped_words=requested - kept,
         base_counts=base.counts,
         base_entropy_bits=base_entropy,
-        mean_cost=input_cost(channel, words[0]) if kept else math.nan,
-        min_distance=min_distance,
+        mean_cost=input_cost(channel, codebook.words[0]) if kept else math.nan,
+        min_distance=None if kept < 2 else codebook._closest[0],
         notes=channel.notes,
     )
     if kept == 0:
@@ -328,14 +333,6 @@ def build_codebook(
             f"expurgation removed all {requested} words at separation {separation}",
             report=report,
         )
-    codebook = DmcCodebook(
-        channel=channel,
-        words=words,
-        epsilon=epsilon,
-        delta=delta,
-        rate=rate,
-        base=base,
-    )
     return codebook, report
 
 
@@ -368,17 +365,7 @@ def select_pairs(codebook: DmcCodebook, pair_budget: int = DEFAULT_PAIR_BUDGET) 
     overlap error; the remaining budget is filled with the cyclic pairs
     (i, i+1 mod M) in index order.
     """
-
-    def closest() -> tuple[int, int]:
-        if codebook.word_count > _MAX_PAIRWISE_WORDS:
-            raise BudgetError(
-                f"pairwise budget {_MAX_PAIRWISE_WORDS} exceeded: {codebook.word_count} words"
-            )
-        dist = pairwise_hamming(codebook.words, codebook.channel.input_size)
-        np.fill_diagonal(dist, _FAR)
-        return np.unravel_index(int(np.argmin(dist)), dist.shape)
-
-    return _closest_first_pairs(codebook.word_count, pair_budget, closest)
+    return _closest_first_pairs(codebook.word_count, pair_budget, lambda: codebook._closest[1:])
 
 
 def simulate_errors(
@@ -456,7 +443,8 @@ def _mean_costs(channel: Dmc, words: np.ndarray) -> np.ndarray:
 
 
 def validate_codebook(codebook: DmcCodebook) -> dict:
-    """Structural checks: common type, cost feasibility, pairwise separation."""
+    """Structural checks: common type, cost feasibility, pairwise separation,
+    the last from the closest pair, measured once in bounded memory at any size."""
     words = codebook.words
     m, n = words.shape
     channel = codebook.channel
@@ -469,13 +457,7 @@ def validate_codebook(codebook: DmcCodebook) -> dict:
         same_type = len(ref.counts) == q and bool((counts == ref.counts).all())
     cost_ok = bool((_mean_costs(channel, words) <= channel.constraint + _TIE_GUARD).all())
     separation = distance_threshold(n, codebook.epsilon)
-    min_distance = None
-    separated = True
-    if 2 <= m <= _MAX_PAIRWISE_WORDS:
-        d = pairwise_hamming(words, q)
-        np.fill_diagonal(d, _FAR)
-        min_distance = int(d.min())
-        separated = min_distance >= separation
+    min_distance = None if m < 2 else codebook._closest[0]
     return {
         "word_count": m,
         "block_length": n,
@@ -483,7 +465,7 @@ def validate_codebook(codebook: DmcCodebook) -> dict:
         "cost_feasible": cost_ok,
         "separation": separation,
         "min_distance": min_distance,
-        "separated": separated,
+        "separated": min_distance is None or min_distance >= separation,
     }
 
 

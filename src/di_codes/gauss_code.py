@@ -50,6 +50,7 @@ from ._threads import worker_count
 from .channels import GaussChannel, gauss_from_dict, gauss_to_dict
 from .errors import _MAX_BUILD_BYTES, BudgetError, ConstructionError
 from .stats import DEFAULT_PAIR_BUDGET, SimReport, _closest_first_pairs, _simulate
+from .typicality import TypicalityParams
 
 DEFAULT_PROBE_BUDGET = 10**5
 DEFAULT_PROBE_TRIALS = 4096
@@ -100,8 +101,7 @@ class GaussCodebook:
         if c.ndim != 2 or c.shape[1] < 1:
             raise ValueError("centers must be an (L, n) array")
         packing_radii(self.channel.power, self.epsilon)
-        if not (math.isfinite(self.delta) and self.delta >= 0.0):
-            raise ValueError("delta must be a nonnegative finite number")
+        TypicalityParams(self.delta)
         if c.size and float((c * c).sum(axis=1).max()) > self.channel.power + 1e-9:
             raise ValueError("a center violates the power constraint")
         c = c.copy()
@@ -181,7 +181,7 @@ def packing_radii(power: float, epsilon: float) -> tuple[float, float]:
     if not power > 0:
         raise ValueError("power must be positive")
     if not 0.0 < epsilon < power:
-        raise ValueError("epsilon must lie strictly between 0 and power")
+        raise ValueError("epsilon must be finite and lie strictly between 0 and power")
     return math.sqrt(epsilon), math.sqrt(power) - math.sqrt(epsilon)
 
 
@@ -201,10 +201,10 @@ def packing_lower_bound(power: float, epsilon: float, n: int) -> float:
 
 
 def _sample_ball(rng: np.random.Generator, count: int, n: int, radius: float, out=None) -> np.ndarray:
-    """i.i.d. uniform points in the n-ball, into ``out`` if given: Gaussian
-    direction, radial U^(1/n)."""
+    """i.i.d. uniform points in the n-ball, into ``out`` if given: Gaussian direction
+    (its norms taken over row slices of about _DENSE_SCALARS), radial U^(1/n)."""
     g = rng.standard_normal((count, n), out=out)
-    norms = np.sqrt((g * g).sum(axis=1))
+    norms = np.sqrt(np.concatenate([(b * b).sum(axis=1) for b in np.array_split(g, 1 + g.size // _DENSE_SCALARS)]))
     norms[norms == 0.0] = 1.0
     u = rng.random(count)
     g *= (radius * u ** (1.0 / n) / norms)[:, None]
@@ -267,10 +267,7 @@ def build_gauss_codebook(
     sampling, when the cap or the saturated count (whichever is lower) could
     pass _MAX_BUILD_BYTES.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if not (math.isfinite(epsilon) and math.isfinite(delta) and delta >= 0.0):
-        raise ValueError("epsilon and delta must be finite, delta nonnegative")
+    TypicalityParams(delta)
     if probe_budget < 1:
         raise ValueError("probe_budget must be positive")
     if max_centers is not None and max_centers < 1:

@@ -1,11 +1,15 @@
 """Codebook construction, decoding, and simulation tests."""
 
+import ast
 import hashlib
 import json
 import math
 import os
+import subprocess
 import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,6 +42,7 @@ from di_codes import (
     transmit_dmc,
     validate_codebook,
 )
+import di_codes
 from di_codes import dmc_code, stats, typicality
 from di_codes.dmc_code import drop_close_pairs, greedy_select, select_pairs
 from di_codes.typicality import empirical_type, hamming_distance
@@ -109,6 +114,13 @@ def slow_min_distance(rows):
     return min((sum(x != y for x, y in zip(a, b)) for a, b in pairs), default=None)
 
 
+def slow_closest(rows):
+    # The least (distance, i, j) with i < j is the row-major first closest pair.
+    pairs = [(sum(x != y for x, y in zip(a, b)), i, i + 1 + k)
+             for i, a in enumerate(rows) for k, b in enumerate(rows[i + 1:])]
+    return min(pairs, default=None)
+
+
 @given(
     m=st.integers(0, 20),
     n=st.integers(1, 8),
@@ -123,21 +135,26 @@ def test_expurgation_matches_slow_oracles(
     m, n, separation, letters, scan_rows, scan_bytes, one_hot_bytes, seed
 ):
     # Small constants make the greedy scan cross up to 20 blocks, shrink its
-    # blocks as the kept set grows, and split the words into column blocks.
+    # blocks as the kept set grows, split the closest-pair scan into row
+    # blocks, and split the words into column blocks.
     words = np.asarray(letters)[np.random.default_rng(seed).integers(0, len(letters), (m, n))]
     rows = [tuple(r) for r in words]
+    q = max(letters) + 1
+    channel = Dmc(matrix=np.full((q, 2), 0.5), cost=np.zeros(q), constraint=0.0)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dmc_code, "_SCAN_ROWS", scan_rows)
         mp.setattr(dmc_code, "_SCAN_BYTES", scan_bytes)
         mp.setattr(typicality, "_ONE_HOT_BYTES", one_hot_bytes)
-        dropped = drop_close_pairs(words, separation, max(letters) + 1)
-        survivors, least_faithful = dmc_code._faithful_scan(words, separation, max(letters) + 1)
-        keep, least_greedy = dmc_code._greedy_scan(words, separation)
-        greedy = greedy_select(words, separation)
-    assert dropped.tolist() == survivors.tolist() == slow_drop_both(rows, separation)
-    assert keep.tolist() == greedy.tolist() == slow_greedy(rows, separation)
-    assert least_faithful == slow_min_distance([r for r, k in zip(rows, survivors) if k])
-    assert least_greedy == slow_min_distance([r for r, k in zip(rows, keep) if k])
+        survivors = drop_close_pairs(words, separation, q)
+        keep = greedy_select(words, separation)
+        closest = [DmcCodebook(channel=channel, words=words[mask], epsilon=0.0, delta=0.1)._closest
+                   for mask in (survivors, keep)]
+    assert survivors.tolist() == slow_drop_both(rows, separation)
+    assert keep.tolist() == slow_greedy(rows, separation)
+    for mask, got in zip((survivors, keep), closest):
+        kept_rows = [r for r, k in zip(rows, mask) if k]
+        assert (None if got is None else got[0]) == slow_min_distance(kept_rows)
+        assert got == slow_closest(kept_rows)
 
 
 def test_drop_close_pairs_removes_both_members():
@@ -379,6 +396,68 @@ def test_select_pairs_prioritizes_closest_pair():
     assert pairs[0] == (0, 2) and pairs[1] == (2, 0)
     assert pairs[2:] == [(0, 1), (1, 2), (2, 3), (3, 0)]
     assert select_pairs(cb, pair_budget=1) == [(0, 2)]
+
+
+def test_large_codebook_reports_its_repeated_word():
+    # Above 2^14 words as below: validation reports the repeated word's
+    # distance 0 and no separation, select_pairs puts that pair first, and the
+    # row blocks keep the peak bounded.
+    words = np.random.default_rng(13).integers(0, 2, (16385, 40))
+    words[16000] = words[5000]
+    tracemalloc.start()
+    try:
+        cb = DmcCodebook(channel=bsc(0.1, constraint=1.0), words=words, epsilon=0.1, delta=0.1)
+        v = validate_codebook(cb)
+        pairs = select_pairs(cb, pair_budget=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert v["min_distance"] == 0 and not v["separated"]
+    assert pairs == [(5000, 16000), (16000, 5000)]
+    assert peak < 128 * 2**20
+
+
+@pytest.mark.parametrize("mode", ["faithful", "greedy"])
+def test_closest_pair_is_measured_once_per_codebook(mode, monkeypatch):
+    scanned, matrices = [], []
+    kernel, matrix = dmc_code._hamming_blocks, dmc_code.pairwise_hamming
+    monkeypatch.setattr(dmc_code, "_hamming_blocks", lambda a, b, letters: scanned.append(b) or kernel(a, b, letters))
+    monkeypatch.setattr(dmc_code, "pairwise_hamming", lambda w, q: matrices.append(w) or matrix(w, q))
+    cb, report = build_codebook(bsc(0.1, constraint=1.0), n=30, rate=0.1, epsilon=0.1, delta=0.06,
+                                seed=8, backoff=0.5, mode=mode)
+    first, second = validate_codebook(cb), validate_codebook(cb)
+    simulate_errors(cb, trials=10, seed=1, pair_budget=2)
+    assert cb.word_count > 2 and first == second
+    assert report.min_distance == first["min_distance"] >= report.separation
+    assert sum(b is cb.words for b in scanned) == 1
+    assert len(matrices) == (mode == "faithful")  # the expurgation's own, over the sample
+
+
+def test_bench_tracer_sees_both_expurgation_scans():
+    # The benchmark's tracer rebinds names in dmc_code from outside, so each
+    # must stay a module attribute, and build_codebook must call the public
+    # scans for their time to show. A subprocess keeps the rebinding out of
+    # this one.
+    script = textwrap.dedent("""
+        import importlib.util, sys
+        import di_codes
+        spec = importlib.util.spec_from_file_location("tracing", sys.argv[1])
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        tracer = tracing.Tracer()
+        tracing.install(tracer, di_codes)
+        tracer.current_op = tracer.current_round = 0
+        for mode in ("faithful", "greedy"):
+            di_codes.build_codebook(di_codes.bsc(0.1, constraint=1.0), n=30, rate=0.1, epsilon=0.1,
+                                    delta=0.06, seed=8, backoff=0.5, mode=mode)
+        print(sorted(set(tracer.name)))
+    """)
+    tracing = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    env = dict(os.environ, PYTHONPATH=str(Path(di_codes.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", script, str(tracing)], env=env,
+                         capture_output=True, text=True, check=True)
+    names = set(ast.literal_eval(out.stdout))
+    assert {"dmc_code.build_codebook", "dmc_code.drop_close_pairs", "dmc_code.greedy_select"} <= names
 
 
 def test_duplicate_words_split_one_probability():

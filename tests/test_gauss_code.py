@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -109,6 +110,23 @@ def test_sample_ball_fills_the_ball():
     a = _sample_ball(np.random.default_rng(8), 4000, n, 1.0)
     norms = np.sqrt((a * a).sum(axis=1))
     assert abs(np.median(norms) - 2.0 ** (-1.0 / n)) < 0.02
+
+
+def test_sample_ball_holds_little_more_than_its_output():
+    # The norms come from row slices, so no temporary the size of the draws is
+    # held, and the points are bit for bit those of the full product.
+    rng = np.random.default_rng(31)
+    tracemalloc.start()
+    try:
+        a = _sample_ball(rng, 512, 2000, 0.7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * a.nbytes
+    rng = np.random.default_rng(31)
+    g = rng.standard_normal((512, 2000))
+    want = g * (0.7 * rng.random(512) ** (1.0 / 2000) / np.sqrt((g * g).sum(axis=1)))[:, None]
+    assert np.array_equal(a, want)
 
 
 # --- construction ---
@@ -288,6 +306,19 @@ def test_import_forwards_only_a_valid_thread_count(value, forwarded):
     script = f"import os, di_codes; print([os.environ.get(k) for k in {knobs!r}])"
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == repr([forwarded] * 3)
+
+
+@pytest.mark.parametrize("kwargs", [{"n": 0}, {"epsilon": math.nan}, {"epsilon": math.inf},
+                                    {"delta": math.nan}, {"delta": math.inf}, {"delta": -1.0}])
+def test_build_refuses_bad_input_before_sampling(kwargs, monkeypatch):
+    # Each rule is stated by the function that owns it: packing_lower_bound
+    # (n), packing_radii (epsilon) and TypicalityParams (delta).
+    def no_sampling(*args, **kw):
+        raise AssertionError("sampled before the input was checked")
+
+    monkeypatch.setattr(gauss_code, "_sample_ball", no_sampling)
+    with pytest.raises(ValueError):
+        small_build(**kwargs)
 
 
 def test_build_rejects_epsilon_filling_the_ball():
