@@ -289,7 +289,7 @@ def check_duplicate_codeword_identity():
     hits_i, hits_j = trials - round(pe1 * trials), round(pe2 * trials)
     band = 3.0 * math.sqrt(pe1 * (1 - pe1) / trials + pe2 * (1 - pe2) / trials)
     note = f"decoders 0 and 1 accept {hits_i} and {hits_j} of {trials} blocks; pe1 + pe2 = {pe1 + pe2:.6f}"
-    return dict(passed=hits_i == hits_j, note=note, details={
+    return dict(passed=hits_i == hits_j and res["regions_identical"], note=note, details={
         "trials": trials, "pe1": pe1, "pe2": pe2, "sum": pe1 + pe2, "band": band})
 
 

@@ -13,8 +13,8 @@ words whose spheres contain no other sample). The "greedy" policy keeps a
 maximal prefix-greedy subset and typically retains far more words; it trades
 the clean counting argument for yield.
 
-Each codebook measures its closest pair once, in bounded memory at any size,
-for its build report, validate_codebook and select_pairs alike.
+One upper-triangle Hamming scan, bounded in memory at any size, serves
+expurgation, greedy packing and each codebook's closest pair, measured once.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -41,26 +41,34 @@ from .typicality import (
     apportion_counts,
     distance_threshold,
     empirical_type,
-    pairwise_hamming,
+    pairwise_hamming,  # unused here, but a module attribute the benchmark's tracer rebinds
     sample_type_class,
     sphere_exponent,
 )
 
 DEFAULT_MAX_WORDS = 2**20
 
-# The greedy scan decides candidates in blocks of at most _SCAN_ROWS, fewer
-# when a block's distances to the kept words would pass _SCAN_BYTES.
-_SCAN_ROWS = 256
-_SCAN_BYTES = 2**26
+_SCAN_BYTES = 2**26  # a block of _upper_blocks: int64 distances and their float32 agreements
 
-# The build's peak, checked against _MAX_BUILD_BYTES: the words take up to 24
-# bytes a sampled symbol (int64: the sample, the kept words in the channel's
-# letters, then the codebook's copy); the estimate allows 32. Faithful mode
-# adds 12 bytes a sampled pair (int64 distances and the float32 agreements
-# they come from), greedy mode the scan's _SCAN_BYTES.
+# The build's peak, checked against _MAX_BUILD_BYTES: up to 24 bytes a sampled
+# symbol for the words (int64: the sample, the kept words in the channel's
+# letters, the codebook's copy), which the estimate rounds to 32, and one scan block.
 
 # Stands in for "no other word": larger than every Hamming distance.
 _FAR = np.iinfo(np.int64).max
+
+
+def _upper_blocks(words: np.ndarray, letters: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (s, dist): the Hamming distances from the row block starting at s
+    to words[s:], _FAR on the diagonal, so each pair i < j is computed once."""
+    rows = max(1, _SCAN_BYTES // (12 * max(1, len(words))))
+    for s in range(0, len(words), rows):
+        # A block of the whole tail (words itself at s = 0) serves both sides with one one-hot table.
+        tail = words[s:] if s else words
+        dist = _hamming_blocks(tail if rows >= len(tail) else tail[:rows], tail, letters)
+        np.fill_diagonal(dist, _FAR)
+        yield s, dist
+        del dist  # freed before the next block's
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,20 +118,16 @@ class DmcCodebook:
     @functools.cached_property
     def _closest(self) -> tuple[int, int, int] | None:
         """(distance, i, j) of the closest pair, i < j, the first np.argmin finds
-        in the full matrix; None below two words. Each row block's distances
-        and the float32 agreements they come from take about _SCAN_BYTES."""
-        m = self.word_count
-        rows = max(1, _SCAN_BYTES // (12 * max(1, m)))
+        in the full matrix; None below two words. An argmin within a block never
+        lands below the diagonal first: each distance there is also above it."""
 
-        def least(s: int) -> tuple[int, int, int]:
-            # A block of every word passes words itself, so one one-hot table serves both sides.
-            block = self.words if rows >= m else self.words[s:s + rows]
-            dist = _hamming_blocks(block, self.words, np.arange(self.channel.input_size))
-            np.fill_diagonal(dist[:, s:], _FAR)
-            i, j = divmod(int(np.argmin(dist)), m)
-            return int(dist[i, j]), s + i, j  # dist is freed before the next block's
+        def least(block: tuple[int, np.ndarray]) -> tuple[int, int, int]:
+            s, dist = block
+            i, j = divmod(int(np.argmin(dist)), dist.shape[1])
+            return int(dist[i, j]), s + i, s + j
 
-        return min(map(least, range(0, m, rows))) if m > 1 else None
+        blocks = _upper_blocks(self.words, np.arange(self.channel.input_size))
+        return min(map(least, blocks)) if self.word_count > 1 else None
 
 
 @dataclass(frozen=True)
@@ -189,36 +193,27 @@ def drop_close_pairs(words: np.ndarray, separation: int, alphabet_size: int) -> 
     survives iff no other sampled word lies strictly inside its separation
     radius. Symmetric, order-independent, idempotent.
     """
-    dist = pairwise_hamming(words, alphabet_size)
-    np.fill_diagonal(dist, _FAR)
-    return dist.min(axis=1, initial=_FAR) >= separation
+    words = np.asarray(words, dtype=np.int64)
+    # near[k]: distance from word k to the closest other word.
+    near = np.full(words.shape[0], _FAR)
+    for s, dist in _upper_blocks(words, np.arange(alphabet_size)):
+        np.minimum(near[s:s + len(dist)], dist.min(axis=1), out=near[s:s + len(dist)])
+        np.minimum(near[s:], dist.min(axis=0), out=near[s:])
+        del dist  # freed before the next block's
+    return near >= separation
 
 
 def greedy_select(words: np.ndarray, separation: int) -> np.ndarray:
     """Keep-mask of the prefix-greedy packing: scan order, keep if far from kept.
-
-    Candidates are decided a block at a time: one kernel call against the
-    words kept so far and one within the block, then a pass in scan order, so
-    every decision is the one the word-by-word scan makes.
-    """
-    m = words.shape[0]
-    keep = np.zeros(m, dtype=bool)
-    letters = np.unique(words)
-    kept = words[:0]
-    start = 0
-    while start < m:
-        rows = max(1, min(_SCAN_ROWS, _SCAN_BYTES // (12 * max(1, kept.shape[0]))))
-        block = words[start:start + rows]
-        # near[i]: distance from candidate i to the closest word kept before it.
-        near = _hamming_blocks(block, kept, letters).min(axis=1, initial=_FAR)
-        inner = _hamming_blocks(block, block, letters)
-        for i in range(block.shape[0]):
+    Each kept word lowers the distances of the words after it as it is kept."""
+    # near[k]: distance from word k to the closest word kept before it, final once k is decided.
+    near = np.full(words.shape[0], _FAR)
+    for s, dist in _upper_blocks(words, np.unique(words)):
+        for i, row in enumerate(dist, start=s):
             if near[i] >= separation:
-                keep[start + i] = True
-                np.minimum(near[i + 1:], inner[i, i + 1:], out=near[i + 1:])
-        kept = np.concatenate([kept, block[keep[start:start + rows]]])
-        start += rows
-    return keep
+                np.minimum(near[i + 1:], row[i + 1 - s:], out=near[i + 1:])
+        del dist, row  # freed before the next block's
+    return near >= separation
 
 
 def build_codebook(
@@ -245,9 +240,9 @@ def build_codebook(
     class, so they are valid inputs of ``channel`` itself.
 
     Raises BudgetError, before anything is allocated, when M would exceed
-    max_words or the build's memory could pass _MAX_BUILD_BYTES (4 GiB);
-    ConstructionError when the rate precondition fails or expurgation
-    removes every word.
+    max_words or the words and one scan block could pass _MAX_BUILD_BYTES
+    (4 GiB), in either mode; ConstructionError when the rate precondition
+    fails or expurgation removes every word.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -278,7 +273,7 @@ def build_codebook(
             f"word budget {max_words} exceeded: floor(2^(n*rate)) needs 2^{log2_m:.2f} words"
         )
     requested = max(1, int(math.floor(2.0**log2_m + _TIE_GUARD)))
-    need = 32 * requested * n + (12 * requested**2 if mode == "faithful" else _SCAN_BYTES)
+    need = 32 * requested * n + _SCAN_BYTES
     if need > _MAX_BUILD_BYTES:
         raise BudgetError(
             f"memory budget of {_MAX_BUILD_BYTES} bytes exceeded: "
@@ -404,7 +399,8 @@ def same_codeword_conflict(codebook: DmcCodebook, i: int, j: int, trials: int, s
     decide every output block on their own. A decoder that depends only on
     the codeword gives both messages the same region, so on every block
     exactly one of the error events {miss i} and {accept j} occurs, and the
-    estimates satisfy pe1 + pe2 = 1 identically, not just in expectation.
+    estimates satisfy pe1 + pe2 = 1 identically, not just in expectation;
+    regions_identical holds when the two decoders disagreed on no block.
     """
     if not (0 <= i < codebook.word_count and 0 <= j < codebook.word_count):
         raise ValueError("message index out of range")
@@ -419,10 +415,11 @@ def same_codeword_conflict(codebook: DmcCodebook, i: int, j: int, trials: int, s
 
     def accepted(rows: int) -> np.ndarray:
         outputs = _transmit_rows(codebook.channel._guide, codebook.words[i], rng.random((rows, n)))
-        return np.array([_decide(codebook, k, outputs).sum() for k in (i, j)])
+        yes_i, yes_j = (_decide(codebook, k, outputs) for k in (i, j))
+        return np.array([yes_i.sum(), yes_j.sum(), (yes_i != yes_j).sum()])
 
     step = _chunk_rows(trials, n * codebook.channel.output_size)
-    hits_i, hits_j = (int(h) for h in _in_chunks(trials, step, accepted))
+    hits_i, hits_j, disagreements = (int(h) for h in _in_chunks(trials, step, accepted))
     pe1 = (trials - hits_i) / trials
     pe2 = hits_j / trials
     return {
@@ -430,7 +427,7 @@ def same_codeword_conflict(codebook: DmcCodebook, i: int, j: int, trials: int, s
         "j": j,
         "trials": trials,
         "seed": seed,
-        "regions_identical": True,
+        "regions_identical": disagreements == 0,
         "pe1_estimate": pe1,
         "pe2_estimate": pe2,
         "sum": pe1 + pe2,

@@ -375,11 +375,15 @@ def build_gauss_codebook(
 def gauss_identify(codebook: GaussCodebook, output: Sequence[float] | np.ndarray, candidate: int) -> bool:
     """Energy-threshold decoder: accept iff (1/n)||y - x_j||^2 <= sigma2 + delta."""
     y = np.asarray(output, dtype=np.float64)
-    n = codebook.block_length
-    if y.shape != (n,):
+    if y.shape != (codebook.block_length,):
         raise ValueError("output length disagrees with the codebook")
-    diff = y - codebook.codeword(candidate)
-    return float(diff @ diff) / n <= codebook.channel.sigma2 + codebook.delta
+    return bool(_accepts(codebook, y - codebook.codeword(candidate)))
+
+
+def _accepts(codebook: GaussCodebook, diff: np.ndarray) -> np.ndarray:
+    """The energy decision on the last axis of diff = y - x_j, which it squares in place."""
+    energy = np.square(diff, out=diff).sum(axis=-1) / codebook.block_length
+    return energy <= codebook.channel.sigma2 + codebook.delta
 
 
 def chebyshev_references(channel: GaussChannel, n: int, delta: float) -> tuple[float, float]:
@@ -431,15 +435,13 @@ def simulate_gauss_errors(
     """
     n = codebook.block_length
     sigma = math.sqrt(codebook.channel.sigma2)
-    threshold = codebook.channel.sigma2 + codebook.delta
 
     def accepts(i: int, j: int, rng: np.random.Generator, diff: np.ndarray) -> np.ndarray:
-        # In place, with the same roundings as sigma * z + shift, squared.
+        # In place, with the same roundings as sigma * z + shift.
         rng.standard_normal(out=diff)
         diff *= sigma
         diff += codebook.codeword(i) - codebook.codeword(j)
-        diff *= diff
-        return diff.sum(axis=1) / n <= threshold
+        return _accepts(codebook, diff)
 
     report = _simulate(
         codebook.center_count, trials, seed, message_budget,

@@ -126,23 +126,19 @@ def slow_closest(rows):
     n=st.integers(1, 8),
     separation=st.integers(0, 6),
     letters=st.sampled_from([(0, 1), (0, 1, 2), (0, 1, 2, 3, 4), (3, 7)]),
-    scan_rows=st.sampled_from([1, 3, 7, dmc_code._SCAN_ROWS]),
-    scan_bytes=st.sampled_from([60, dmc_code._SCAN_BYTES]),
+    scan_bytes=st.sampled_from([60, 500, 2000, dmc_code._SCAN_BYTES]),
     one_hot_bytes=st.sampled_from([1, typicality._ONE_HOT_BYTES]),
     seed=st.integers(0, 10**6),
 )
-def test_expurgation_matches_slow_oracles(
-    m, n, separation, letters, scan_rows, scan_bytes, one_hot_bytes, seed
-):
-    # Small constants make the greedy scan cross up to 20 blocks, shrink its
-    # blocks as the kept set grows, split the closest-pair scan into row
-    # blocks, and split the words into column blocks.
+def test_expurgation_matches_slow_oracles(m, n, separation, letters, scan_bytes, one_hot_bytes, seed):
+    # Small constants split the one upper-triangle scan behind all three into
+    # blocks of one row up to several rows, with a ragged last block, and
+    # split the words into column blocks.
     words = np.asarray(letters)[np.random.default_rng(seed).integers(0, len(letters), (m, n))]
     rows = [tuple(r) for r in words]
     q = max(letters) + 1
     channel = Dmc(matrix=np.full((q, 2), 0.5), cost=np.zeros(q), constraint=0.0)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dmc_code, "_SCAN_ROWS", scan_rows)
         mp.setattr(dmc_code, "_SCAN_BYTES", scan_bytes)
         mp.setattr(typicality, "_ONE_HOT_BYTES", one_hot_bytes)
         survivors = drop_close_pairs(words, separation, q)
@@ -212,11 +208,20 @@ def test_word_budget_refusal():
         build_codebook(ch, n=100, rate=0.5, epsilon=0.0, delta=0.05, seed=1, backoff=0.0)
 
 
-def test_faithful_pairwise_budget_refusal():
-    ch = bsc(0.1, constraint=1.0)
-    # 2^15 words exceed the faithful expurgation budget but not max_words
-    with pytest.raises(BudgetError):
-        build_codebook(ch, n=50, rate=0.3, epsilon=0.1, delta=0.05, seed=1, backoff=0.0)
+def test_faithful_build_stays_within_its_memory_estimate(monkeypatch):
+    # Expurgation scans the distances in row blocks, so a faithful build's
+    # peak is bounded by the build's own estimate, not by M^2.
+    monkeypatch.setattr(dmc_code, "_SCAN_BYTES", 2**20)
+    m, n = 4096, 40
+    tracemalloc.start()
+    try:
+        _, report = build_codebook(bsc(0.1, constraint=1.0), n=n, rate=math.log2(m) / n, epsilon=0.1,
+                                   delta=0.05, seed=1, backoff=0.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.requested_words == m
+    assert peak < 32 * m * n + dmc_code._SCAN_BYTES
 
 
 @pytest.mark.parametrize("mode", ["faithful", "greedy"])
@@ -430,7 +435,7 @@ def test_closest_pair_is_measured_once_per_codebook(mode, monkeypatch):
     assert cb.word_count > 2 and first == second
     assert report.min_distance == first["min_distance"] >= report.separation
     assert sum(b is cb.words for b in scanned) == 1
-    assert len(matrices) == (mode == "faithful")  # the expurgation's own, over the sample
+    assert matrices == []
 
 
 def test_bench_tracer_sees_both_expurgation_scans():
@@ -490,6 +495,7 @@ def test_conflict_matches_per_sample_replay(monkeypatch):
     monkeypatch.setattr(dmc_code, "_decide", lambda c, k, ys: decide(c, k, ys) & (k == 0))
     res = same_codeword_conflict(cb, 0, 1, trials=trials, seed=11)
     assert res["pe2_estimate"] == 0.0 and res["sum"] == misses / trials
+    assert not res["regions_identical"]
 
 
 def test_chunking_is_stream_equivalent(monkeypatch):

@@ -25,6 +25,7 @@ from di_codes import (
     packing_lower_bound,
     packing_radii,
     simulate_gauss_errors,
+    transmit_gauss,
 )
 import di_codes
 from di_codes import gauss_code, stats
@@ -395,6 +396,27 @@ def test_gauss_simulation_matches_per_stream_replay():
         diff = z + (cb.codeword(i) - cb.codeword(j))
         stat = (diff * diff).sum(axis=1) / n
         assert int((stat <= threshold).sum()) == sim.pe2_errors[k]
+
+
+def test_gauss_simulation_matches_per_sample_replay():
+    # The public decoder, one transmitted block at a time, counts what the
+    # simulator counts: one energy decision behind both.
+    cb, _ = small_build()
+    trials = 200
+    sim = simulate_gauss_errors(cb, trials=trials, seed=55, pair_budget=3, message_budget=4)
+    messages = list(sim.pe1_index)
+    pairs = list(sim.pe2_pairs)
+    streams = np.random.SeedSequence(55).spawn(len(messages) + len(pairs))
+    for k, i in enumerate(messages):
+        rng = np.random.default_rng(streams[k])
+        errors = sum(not gauss_identify(cb, transmit_gauss(cb.channel, cb.codeword(i), rng), i)
+                     for _ in range(trials))
+        assert 0 < errors == sim.pe1_errors[k]
+    for k, (i, j) in enumerate(pairs):
+        rng = np.random.default_rng(streams[len(messages) + k])
+        errors = sum(gauss_identify(cb, transmit_gauss(cb.channel, cb.codeword(i), rng), j)
+                     for _ in range(trials))
+        assert errors == sim.pe2_errors[k]
 
 
 def test_gauss_simulation_report_carries_references():
