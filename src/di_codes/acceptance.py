@@ -343,7 +343,9 @@ def check_constrained_count_bound():
 
 @_check("gauss-saturation-count", 300.0)
 def check_gauss_saturation_count():
-    """Saturated packing reaches the volume lower bound with valid geometry."""
+    """Saturated packing covers its ball, reaches the volume lower bound, with valid geometry."""
+    from scipy.stats import beta  # loads only when this check runs
+
     channel = GaussChannel(sigma2=1.0, power=1.0)
     epsilon = 0.01
     cb, cert = build_gauss_codebook(
@@ -355,22 +357,27 @@ def check_gauss_saturation_count():
     max_norm_sq = float((cb.centers**2).sum(axis=1).max())
     norms_ok = max_norm_sq <= channel.power + 1e-12
     dist_ok = min_dist >= 2.0 * r0 - 1e-12
+    # One-sided 95 % Clopper-Pearson bound f on the uncovered fraction (1e-3: all 4096 covered); L >= (1 - f)(r1/2r0)^n.
+    uncovered = cert.probe_trials - cert.probe_covered
+    uncovered_upper = float(beta.ppf(0.95, uncovered + 1, cert.probe_covered)) if cert.probe_covered else 1.0
     passed = (
         cert.saturated_at_tolerance
         and cert.meets_packing_bound
         and dist_ok
         and norms_ok
+        and uncovered_upper <= 1e-3
     )
     note = (
         f"L = {cert.center_count} >= bound {cert.lower_bound:.1f}, "
         f"min distance {min_dist:.4f} (>= {2 * r0:.4f}), "
-        f"probe coverage {cert.probe_coverage:.4f}"
+        f"uncovered fraction <= {uncovered_upper:.2e} (<= 1e-3)"
     )
     return dict(passed=passed, note=note, details={
         "center_count": cert.center_count, "lower_bound": cert.lower_bound,
         "min_distance": min_dist, "required_distance": 2.0 * r0,
         "max_norm_sq": max_norm_sq,
         "probe_coverage": cert.probe_coverage,
+        "uncovered_upper": uncovered_upper, "covering_bound": (1.0 - uncovered_upper) * cert.lower_bound,
         "stop_reason": cert.stop_reason})
 
 

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from decimal import Decimal
 
 import numpy as np
-from scipy.special import ndtr
 
 from .capacity import entropy_bits
 from .channels import Dmc
@@ -92,6 +91,7 @@ def _cell_probabilities(mean: float, sd: float, step: float, j: int) -> np.ndarr
     is folded into the largest cell so downstream row-stochasticity checks
     never trip on summation noise.
     """
+    from scipy.special import ndtr  # loads at the first discretization, not at import
     edges = _cell_edges(step, j)
     cdf = ndtr((edges - mean) / sd)
     p = np.diff(cdf)
@@ -187,10 +187,8 @@ def to_dmc(
     k = inp.size
     if k <= pair_check_limit:
         gap = math.inf
-        for a in range(k):
-            diff = np.abs(rows[a + 1 :] - rows[a])
-            if diff.size:
-                gap = min(gap, float(diff.max(axis=1).min()))
+        for a in range(k - 1):
+            gap = min(gap, float(np.abs(rows[a + 1 :] - rows[a]).max(axis=1).min()))
     else:
         gap = float(np.abs(np.diff(rows, axis=0)).max(axis=1).min())
 

@@ -41,16 +41,18 @@ import ctypes
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from ._threads import worker_count
 from .channels import GaussChannel, gauss_from_dict, gauss_to_dict
 from .errors import _MAX_BUILD_BYTES, BudgetError, ConstructionError
 from .stats import DEFAULT_PAIR_BUDGET, SimReport, _closest_first_pairs, _simulate
 from .typicality import TypicalityParams
+
+if TYPE_CHECKING:  # scipy.spatial itself loads at the first tree
+    import scipy.spatial
 
 DEFAULT_PROBE_BUDGET = 10**5
 DEFAULT_PROBE_TRIALS = 4096
@@ -79,6 +81,12 @@ _COVER_EPS = 3.0
 # twice its dynamic mmap threshold, so what a build left resident would depend on what
 # ran before it. glibc's int malloc_trim(size_t) hands it back; elsewhere a no-op.
 _MALLOC_TRIM = getattr(ctypes.pythonapi, "malloc_trim", lambda pad: 0)
+
+
+def cKDTree(data: np.ndarray) -> scipy.spatial.cKDTree:
+    """The k-d tree over data; the one name that tests and the benchmark's tracer rebind."""
+    from scipy import spatial  # loads at the first tree, not at import
+    return spatial.cKDTree(data)
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,7 +125,7 @@ class GaussCodebook:
         return self.centers.shape[1]
 
     @functools.cached_property
-    def _tree(self) -> cKDTree:
+    def _tree(self) -> scipy.spatial.cKDTree:
         return cKDTree(self.centers)  # shares the read-only centers, adds its index
 
     def codeword(self, j: int) -> np.ndarray:
@@ -211,7 +219,7 @@ def _sample_ball(rng: np.random.Generator, count: int, n: int, radius: float, ou
     return g
 
 
-def _query(tree: cKDTree, points: np.ndarray, **kwargs):
+def _query(tree: scipy.spatial.cKDTree, points: np.ndarray, **kwargs):
     """``tree.query``, threaded when ``points`` has enough rows to gain."""
     workers = worker_count() if len(points) >= _THREADED_ROWS else 1
     return tree.query(points, workers=workers, **kwargs)
@@ -229,7 +237,7 @@ def _clear_of(centers: np.ndarray, points: np.ndarray, min_d2: float) -> np.ndar
     return clear
 
 
-def _covered(tree: cKDTree, points: np.ndarray, radius: float) -> np.ndarray:
+def _covered(tree: scipy.spatial.cKDTree, points: np.ndarray, radius: float) -> np.ndarray:
     """Mask of the points lying within ``radius`` of some center in ``tree``.
 
     An approximate query may miss the nearest center, but any distance it
@@ -292,7 +300,7 @@ def build_gauss_codebook(
 
     kept_buf = np.empty((_BATCH, n))
     kept_count = 0
-    tree: cKDTree | None = None
+    tree: scipy.spatial.cKDTree | None = None
     tree_count = 0  # centers covered by the tree; newer ones scanned densely
     rejections = 0
     processed = 0

@@ -195,8 +195,7 @@ def hamming_sphere_size_bound(n: int, epsilon: float, alphabet_size: int) -> flo
         raise ValueError("alphabet_size must be positive")
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError("epsilon must lie in [0, 1]")
-    k = int(math.floor(n * epsilon + _TIE_GUARD))
-    k = min(k, n)
+    k = int(math.floor(n * epsilon + _TIE_GUARD))  # at most n, since epsilon <= 1
     return math.log2(math.comb(n, k)) + k * math.log2(alphabet_size)
 
 
@@ -243,10 +242,8 @@ def sample_type_class(et: EmpiricalType, count: int, rng: np.random.Generator) -
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    base = canonical_word(et)
-    words = np.tile(base, (count, 1)) if count else np.empty((0, et.n), dtype=np.int64)
-    if count:
-        rng.permuted(words, axis=1, out=words)
+    words = np.tile(canonical_word(et), (count, 1))
+    rng.permuted(words, axis=1, out=words)  # draws nothing when there are no words
     return words
 
 
@@ -447,10 +444,9 @@ def apportion_counts(pmf: Sequence[float] | np.ndarray, n: int) -> EmpiricalType
     if short < 0:
         # the tie guard can overshoot only when n*p sits on an integer; undo
         order = np.argsort(scaled - counts, kind="stable")
-        for i in order[: -short if short else 0]:
+        for i in order[:-short]:
             counts[i] -= 1
-        short = 0
-    if short > 0:
+    elif short > 0:
         frac = scaled - counts
         order = sorted(range(p.size), key=lambda i: (-frac[i], i))
         for i in order[:short]:

@@ -166,6 +166,17 @@ def test_gauss_packing_saturates_above_volume_bound(saturation_check):
     assert d["center_count"] >= d["lower_bound"]
 
 
+def test_saturation_check_fails_a_packing_that_stops_early(monkeypatch):
+    # 30 consecutive rejections still "saturate" and clear the volume bound,
+    # but leave about a fifth of the ball uncovered: coverage must fail it.
+    build = acceptance.build_gauss_codebook
+    monkeypatch.setattr(acceptance, "build_gauss_codebook", lambda *a, **kw: build(*a, **{**kw, "probe_budget": 30}))
+    res = acceptance.check_gauss_saturation_count()
+    d = res.details
+    assert d["stop_reason"] == "saturation" and d["center_count"] >= d["lower_bound"]
+    assert d["uncovered_upper"] > 1e-3 and not res.passed
+
+
 def test_gauss_error_rates_decay_with_blocklength(gauss_decay_check):
     _assert_clean_pass(gauss_decay_check)
 

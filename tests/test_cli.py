@@ -4,9 +4,14 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +19,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import di_codes
 from di_codes import (
     Dmc,
     GaussChannel,
@@ -531,3 +537,23 @@ def test_json_chunks_hand_cases():
         return list(_json_chunks({"words": [[0, 1] * length, [0.5] * length]}))
 
     assert len(chunks(1)) == len(chunks(500)) == 7
+
+
+def test_dmc_commands_load_no_scipy(tmp_path):
+    # The DMC side needs numpy only: scipy.spatial loads at the first Gaussian
+    # tree and scipy.special at the first discretization. A fresh interpreter
+    # shows what importing the package and running the commands load.
+    script = textwrap.dedent("""
+        import contextlib, io, sys
+        import di_codes
+        from di_codes import cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [cli.main(["capacity", "--bsc", "0.1"]),
+                     cli.main(["codebook-dmc", "--bsc", "0.1", "--n", "30", "--rate", "0.1", "--epsilon", "0.1",
+                               "--delta", "0.06", "--seed", "8", "--backoff", "0.5", "--output", sys.argv[1]])]
+        print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(di_codes.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", script, str(tmp_path / "book.json")], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[0, 0] []"

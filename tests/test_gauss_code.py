@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 import tracemalloc
 from pathlib import Path
 
@@ -464,6 +465,31 @@ def test_tree_is_built_once_per_codebook(monkeypatch):
     simulate_gauss_errors(cb, trials=10, seed=1, pair_budget=2)
     assert first == second
     assert sizes.count(cb.center_count) == 1
+
+
+def test_bench_tracer_sees_the_lazily_loaded_tree():
+    # gauss_code.cKDTree loads scipy.spatial at its first call; the benchmark's
+    # tracer rebinds that module attribute, so every tree the build makes must
+    # still go through it. A subprocess keeps the rebinding out of this one.
+    script = textwrap.dedent("""
+        import importlib.util, sys
+        import di_codes
+        spec = importlib.util.spec_from_file_location("tracing", sys.argv[1])
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        tracer = tracing.Tracer()
+        tracing.install(tracer, di_codes)
+        tracer.current_op = tracer.current_round = 0
+        di_codes.build_gauss_codebook(di_codes.GaussChannel(1.0, 1.0), n=4, epsilon=0.01, delta=0.1, seed=7,
+                                      probe_budget=2000, probe_trials=500)
+        print(tracer.name.count("scipy.cKDTree.build"), tracer.name.count("scipy.cKDTree.query"))
+    """)
+    tracing = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    env = dict(os.environ, PYTHONPATH=str(Path(di_codes.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", script, str(tracing)], env=env,
+                         capture_output=True, text=True, check=True)
+    builds, queries = map(int, out.stdout.split())
+    assert builds >= 2 and queries >= 1  # the loop's trees and the codebook's own
 
 
 def test_build_hands_freed_heap_back_once(monkeypatch):
