@@ -34,9 +34,9 @@ import numpy as np
 
 from . import __version__
 from .acceptance import CHECKS, format_line, run_checks
-from .capacity import bsc_capacity_curve, di_capacity
+from .capacity import bsc_capacity_curve, di_capacity, entropy_bits
 from .channels import Dmc, GaussChannel, bsc, dmc_from_dict, dmc_to_dict, reduce_channel
-from .discretize import discretized_entropy, entropy_defect, gaussian_differential_entropy, to_dmc
+from .discretize import gaussian_differential_entropy, to_dmc
 from .dmc_code import (
     build_codebook,
     codebook_from_dict,
@@ -279,7 +279,8 @@ def _cmd_discretize(parser: _Parser, args: argparse.Namespace) -> int:
         input_j=args.input_j,
         output_j=args.output_j,
     )
-    entropy = discretized_entropy(args.power, dc.step, dc.input_j)
+    # The input pmf from to_dmc, summed in the order of discretized_entropy and entropy_defect.
+    entropy = entropy_bits(dc.input_probabilities)
     payload = {
         "step": dc.step,
         "input_j": dc.input_j,
@@ -289,7 +290,7 @@ def _cmd_discretize(parser: _Parser, args: argparse.Namespace) -> int:
         "entropy_bits": entropy,
         "entropy_plus_log_step": entropy + math.log2(dc.step),
         "differential_entropy_limit": gaussian_differential_entropy(args.power),
-        "entropy_defect": entropy_defect(args.power, dc.step, dc.input_j),
+        "entropy_defect": entropy + math.log2(dc.step) - gaussian_differential_entropy(args.power),
         "rows_distinct": dc.rows_distinct,
         "min_row_gap": dc.min_row_gap,
         "constraint": dc.channel.constraint,

@@ -13,8 +13,8 @@ words whose spheres contain no other sample). The "greedy" policy keeps a
 maximal prefix-greedy subset and typically retains far more words; it trades
 the clean counting argument for yield.
 
-One upper-triangle Hamming scan, bounded in memory at any size, serves
-expurgation, greedy packing and each codebook's closest pair, measured once.
+One upper-triangle Hamming scan per build, bounded in memory at any size,
+both expurgates (or packs) and measures the kept words' closest pair.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -48,7 +48,7 @@ from .typicality import (
 
 DEFAULT_MAX_WORDS = 2**20
 
-_SCAN_BYTES = 2**26  # a block of _upper_blocks: int64 distances and their float32 agreements
+_SCAN_BYTES = 2**26  # a block of the one scan that expurgates and measures: int64 distances and float32 agreements
 
 # The build's peak, checked against _MAX_BUILD_BYTES: up to 24 bytes a sampled
 # symbol for the words (int64: the sample, the kept words in the channel's
@@ -57,18 +57,8 @@ _SCAN_BYTES = 2**26  # a block of _upper_blocks: int64 distances and their float
 # Stands in for "no other word": larger than every Hamming distance.
 _FAR = np.iinfo(np.int64).max
 
-
-def _upper_blocks(words: np.ndarray, letters: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (s, dist): the Hamming distances from the row block starting at s
-    to words[s:], _FAR on the diagonal, so each pair i < j is computed once."""
-    rows = max(1, _SCAN_BYTES // (12 * max(1, len(words))))
-    for s in range(0, len(words), rows):
-        # A block of the whole tail (words itself at s = 0) serves both sides with one one-hot table.
-        tail = words[s:] if s else words
-        dist = _hamming_blocks(tail if rows >= len(tail) else tail[:rows], tail, letters)
-        np.fill_diagonal(dist, _FAR)
-        yield s, dist
-        del dist  # freed before the next block's
+# (distance, i, j), i < j: the closest pair np.argmin finds first in the full matrix; None below two words.
+_Closest = tuple[int, int, int] | None
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,8 +69,8 @@ class DmcCodebook:
     the codebook came out of the standard construction; manually assembled
     codebooks (arbitrary word lists) may leave it None. epsilon is the
     separation parameter the words were built for, delta the decoder's
-    typicality tolerance. The closest pair (_closest) is measured once, in
-    bounded memory at any size.
+    typicality tolerance. The closest pair (_closest) comes from the build's
+    one scan, or is measured on first use if the codebook was not built here.
     """
 
     channel: Dmc
@@ -116,18 +106,11 @@ class DmcCodebook:
         return self.words.shape[1]
 
     @functools.cached_property
-    def _closest(self) -> tuple[int, int, int] | None:
-        """(distance, i, j) of the closest pair, i < j, the first np.argmin finds
-        in the full matrix; None below two words. An argmin within a block never
-        lands below the diagonal first: each distance there is also above it."""
-
-        def least(block: tuple[int, np.ndarray]) -> tuple[int, int, int]:
-            s, dist = block
-            i, j = divmod(int(np.argmin(dist)), dist.shape[1])
-            return int(dist[i, j]), s + i, s + j
-
-        blocks = _upper_blocks(self.words, np.arange(self.channel.input_size))
-        return min(map(least, blocks)) if self.word_count > 1 else None
+    def _closest(self) -> _Closest:
+        """The closest pair (see ``_Closest``). A build hands over the one its
+        scan measured; any other codebook runs that scan at separation 0,
+        which drops nothing, on first use."""
+        return drop_close_pairs(self.words, 0, self.channel.input_size)[1]
 
 
 @dataclass(frozen=True)
@@ -186,34 +169,73 @@ def construction_base_type(channel: Dmc, n: int, cost_margin: float = 0.0) -> Em
     return EmpiricalType(tuple(int(c) for c in counts), n)
 
 
-def drop_close_pairs(words: np.ndarray, separation: int, alphabet_size: int) -> np.ndarray:
-    """Keep-mask that removes BOTH members of every pair at distance < separation.
+def _scan(words: np.ndarray, separation: int, letters: np.ndarray, greedy: bool) -> tuple[np.ndarray, _Closest]:
+    """(keep, closest) of one upper-triangle Hamming scan, bounded in memory at any size.
+
+    Row block s holds the distances from words[s:s + rows] to words[s:], _FAR
+    on the diagonal, so each pair i < j is computed once. near[k], final once
+    word k is decided (kept iff near[k] >= separation), is its distance to the
+    closest other word, or in greedy mode to the closest word kept before it.
+    Then the block's kept rows lower low[k] and arg[k]: the least distance
+    from a kept word to word k, and the first kept word at it.
+    """
+    m = len(words)
+    near, low, arg = np.full(m, _FAR), np.full(m, _FAR), np.zeros(m, dtype=np.int64)
+    rows = max(1, _SCAN_BYTES // (12 * max(1, m)))
+    for s in range(0, m, rows):
+        # A block of the whole tail (words itself at s = 0) serves both sides with one one-hot table.
+        tail = words[s:] if s else words
+        square = rows >= len(tail)
+        dist = _hamming_blocks(tail if square else tail[:rows], tail, letters)
+        np.fill_diagonal(dist, _FAR)
+        if greedy:  # each kept word lowers the words after it as it is kept
+            for i in range(s, s + len(dist)):
+                if near[i] >= separation:
+                    np.minimum(near[i + 1:], dist[i - s, i + 1 - s:], out=near[i + 1:])
+        else:
+            np.minimum(near[s:s + len(dist)], dist.min(axis=1), out=near[s:s + len(dist)])
+            np.minimum(near[s:], dist.min(axis=0), out=near[s:])
+        dropped = near[s:s + len(dist)] < separation
+        dist[dropped] = _FAR
+        if square:  # symmetric once its dropped columns go too: its rows' argmin is far cheaper
+            dist[:, dropped] = _FAR
+            first = dist.argmin(axis=1)
+            least = dist[np.arange(len(tail)), first]
+        else:  # a column argmin would copy the block; each distance carries its row instead, in place
+            np.minimum(dist, words.shape[1] + 1, out=dist)  # n + 1: above every distance, like _FAR
+            dist *= len(dist)
+            dist += np.arange(len(dist))[:, None]
+            least, first = np.divmod(dist.min(axis=0), len(dist))
+        better = least < low[s:]  # strictly: an earlier block's row comes first
+        np.copyto(low[s:], least, where=better)
+        np.copyto(arg[s:], s + first, where=better)
+        del dist  # freed before the next block's
+    keep = near >= separation
+    kept = np.flatnonzero(keep)
+    if len(kept) < 2:
+        return keep, None
+    # The first closest pair (i, j) has arg[j] = i; every other kept k at the least distance gives a later pair.
+    least = low[kept].min()
+    ends = kept[low[kept] == least]
+    i, j = divmod(int((np.minimum(arg[ends], ends) * m + np.maximum(arg[ends], ends)).min()), m)
+    return keep, (int(least), int(np.searchsorted(kept, i)), int(np.searchsorted(kept, j)))
+
+
+def drop_close_pairs(words: np.ndarray, separation: int, alphabet_size: int) -> tuple[np.ndarray, _Closest]:
+    """Keep-mask that removes BOTH members of every pair at distance < separation,
+    and the closest pair of the kept words (see ``_Closest``).
 
     This is the expurgation step of the standard construction: a word
     survives iff no other sampled word lies strictly inside its separation
     radius. Symmetric, order-independent, idempotent.
     """
-    words = np.asarray(words, dtype=np.int64)
-    # near[k]: distance from word k to the closest other word.
-    near = np.full(words.shape[0], _FAR)
-    for s, dist in _upper_blocks(words, np.arange(alphabet_size)):
-        np.minimum(near[s:s + len(dist)], dist.min(axis=1), out=near[s:s + len(dist)])
-        np.minimum(near[s:], dist.min(axis=0), out=near[s:])
-        del dist  # freed before the next block's
-    return near >= separation
+    return _scan(np.asarray(words, dtype=np.int64), separation, np.arange(alphabet_size), False)
 
 
-def greedy_select(words: np.ndarray, separation: int) -> np.ndarray:
-    """Keep-mask of the prefix-greedy packing: scan order, keep if far from kept.
-    Each kept word lowers the distances of the words after it as it is kept."""
-    # near[k]: distance from word k to the closest word kept before it, final once k is decided.
-    near = np.full(words.shape[0], _FAR)
-    for s, dist in _upper_blocks(words, np.unique(words)):
-        for i, row in enumerate(dist, start=s):
-            if near[i] >= separation:
-                np.minimum(near[i + 1:], row[i + 1 - s:], out=near[i + 1:])
-        del dist, row  # freed before the next block's
-    return near >= separation
+def greedy_select(words: np.ndarray, separation: int) -> tuple[np.ndarray, _Closest]:
+    """Keep-mask of the prefix-greedy packing: scan order, keep if far from kept;
+    and the closest pair of the kept words (see ``_Closest``)."""
+    return _scan(words, separation, np.flatnonzero(np.bincount(words.ravel())), True)
 
 
 def build_codebook(
@@ -284,9 +306,9 @@ def build_codebook(
     sampled = sample_type_class(base_reduced, requested, rng)
     separation = distance_threshold(n, epsilon)
     if mode == "faithful":
-        keep = drop_close_pairs(sampled, separation, reduced.input_size)
+        keep, closest = drop_close_pairs(sampled, separation, reduced.input_size)
     else:
-        keep = greedy_select(sampled, separation)
+        keep, closest = greedy_select(sampled, separation)
     reps = np.asarray(rmap.representative, dtype=np.int64)
     words = reps[sampled[keep]]
 
@@ -302,7 +324,7 @@ def build_codebook(
         rate=rate,
         base=base,
     )
-    del sampled, words  # the closest pair is measured on the codebook's copy alone
+    vars(codebook)["_closest"] = closest  # the scan's, so nothing is measured twice
     kept = codebook.word_count
 
     report = ConstructionReport(
@@ -320,7 +342,7 @@ def build_codebook(
         base_counts=base.counts,
         base_entropy_bits=base_entropy,
         mean_cost=input_cost(channel, codebook.words[0]) if kept else math.nan,
-        min_distance=None if kept < 2 else codebook._closest[0],
+        min_distance=None if closest is None else closest[0],
         notes=channel.notes,
     )
     if kept == 0:
@@ -441,7 +463,7 @@ def _mean_costs(channel: Dmc, words: np.ndarray) -> np.ndarray:
 
 def validate_codebook(codebook: DmcCodebook) -> dict:
     """Structural checks: common type, cost feasibility, pairwise separation,
-    the last from the closest pair, measured once in bounded memory at any size."""
+    the last from the codebook's closest pair (see ``DmcCodebook._closest``)."""
     words = codebook.words
     m, n = words.shape
     channel = codebook.channel

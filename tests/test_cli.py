@@ -311,6 +311,17 @@ def test_discretize_payload_and_channel_output(tmp_path, capsys):
     assert 0.0 < env["payload"]["value_bits"] <= math.log2(9)
 
 
+def test_discretize_computes_the_input_pmf_once(monkeypatch, capsys):
+    # 17 channel rows, and the N(0, power) masses on the input lattice once:
+    # the entropy and its defect read them from the discretized channel.
+    calls = []
+    cells = discretize._cell_probabilities
+    monkeypatch.setattr(discretize, "_cell_probabilities", lambda *a: calls.append(a) or cells(*a))
+    code, env = run_json(capsys, ["discretize", "--sigma2", "1", "--power", "1", "--step", "0.25", "--input-j", "8"])
+    assert code == EXIT_OK and env["payload"]["input_size"] == 17
+    assert len(calls) == 18
+
+
 def test_reduce_merges_duplicate_rows(tmp_path, capsys):
     f = tmp_path / "dup.json"
     f.write_text(json.dumps({

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from di_codes import (
@@ -126,43 +126,50 @@ def slow_closest(rows):
     n=st.integers(1, 8),
     separation=st.integers(0, 6),
     letters=st.sampled_from([(0, 1), (0, 1, 2), (0, 1, 2, 3, 4), (3, 7)]),
+    repeat=st.integers(0, 3),
     scan_bytes=st.sampled_from([60, 500, 2000, dmc_code._SCAN_BYTES]),
     one_hot_bytes=st.sampled_from([1, typicality._ONE_HOT_BYTES]),
     seed=st.integers(0, 10**6),
 )
-def test_expurgation_matches_slow_oracles(m, n, separation, letters, scan_bytes, one_hot_bytes, seed):
-    # Small constants split the one upper-triangle scan behind all three into
-    # blocks of one row up to several rows, with a ragged last block, and
-    # split the words into column blocks.
+# Three copies of one word: both modes keep fewer than two, so no pair.
+@example(m=1, n=3, separation=1, letters=(0, 1), repeat=2, scan_bytes=60, one_hot_bytes=1, seed=0)
+# Repeated words at separation 0: every word is kept and the closest pair is at distance 0.
+@example(m=6, n=4, separation=0, letters=(0, 1, 2), repeat=3, scan_bytes=60, one_hot_bytes=1, seed=5)
+def test_expurgation_matches_slow_oracles(m, n, separation, letters, repeat, scan_bytes, one_hot_bytes, seed):
+    # Small constants split the one upper-triangle scan behind both modes and
+    # every closest pair into blocks of one row up to several rows, with a
+    # ragged last block, and split the words into column blocks. The last
+    # `repeat` words repeat the first ones, at distance 0.
     words = np.asarray(letters)[np.random.default_rng(seed).integers(0, len(letters), (m, n))]
+    words = words[np.arange(m + repeat) % m] if m else words
     rows = [tuple(r) for r in words]
     q = max(letters) + 1
     channel = Dmc(matrix=np.full((q, 2), 0.5), cost=np.zeros(q), constraint=0.0)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dmc_code, "_SCAN_BYTES", scan_bytes)
         mp.setattr(typicality, "_ONE_HOT_BYTES", one_hot_bytes)
-        survivors = drop_close_pairs(words, separation, q)
-        keep = greedy_select(words, separation)
-        closest = [DmcCodebook(channel=channel, words=words[mask], epsilon=0.0, delta=0.1)._closest
-                   for mask in (survivors, keep)]
+        scans = [drop_close_pairs(words, separation, q), greedy_select(words, separation)]
+        remeasured = [DmcCodebook(channel=channel, words=words[mask], epsilon=0.0, delta=0.1)._closest
+                      for mask, _ in scans]
+    (survivors, _), (keep, _) = scans
     assert survivors.tolist() == slow_drop_both(rows, separation)
     assert keep.tolist() == slow_greedy(rows, separation)
-    for mask, got in zip((survivors, keep), closest):
+    for (mask, closest), again in zip(scans, remeasured):
         kept_rows = [r for r, k in zip(rows, mask) if k]
-        assert (None if got is None else got[0]) == slow_min_distance(kept_rows)
-        assert got == slow_closest(kept_rows)
+        assert (None if closest is None else closest[0]) == slow_min_distance(kept_rows)
+        assert closest == again == slow_closest(kept_rows)
 
 
 def test_drop_close_pairs_removes_both_members():
     words = np.array([[0, 0, 0], [0, 0, 1], [1, 1, 1]])
-    keep = drop_close_pairs(words, 2, 2)
-    assert keep.tolist() == [False, False, True]
+    keep, closest = drop_close_pairs(words, 2, 2)
+    assert keep.tolist() == [False, False, True] and closest is None
 
 
 def test_greedy_keeps_scan_order_winner():
     words = np.array([[0, 0, 0], [0, 0, 1], [1, 1, 1]])
-    keep = greedy_select(words, 2)
-    assert keep.tolist() == [True, False, True]
+    keep, closest = greedy_select(words, 2)
+    assert keep.tolist() == [True, False, True] and closest == (3, 0, 1)
 
 
 # --- construction ---
@@ -424,17 +431,21 @@ def test_large_codebook_reports_its_repeated_word():
 
 @pytest.mark.parametrize("mode", ["faithful", "greedy"])
 def test_closest_pair_is_measured_once_per_codebook(mode, monkeypatch):
+    # The build's one scan, a single block here, both expurgates and measures
+    # the closest pair; validation, pair selection and simulation scan nothing.
     scanned, matrices = [], []
     kernel, matrix = dmc_code._hamming_blocks, dmc_code.pairwise_hamming
     monkeypatch.setattr(dmc_code, "_hamming_blocks", lambda a, b, letters: scanned.append(b) or kernel(a, b, letters))
     monkeypatch.setattr(dmc_code, "pairwise_hamming", lambda w, q: matrices.append(w) or matrix(w, q))
     cb, report = build_codebook(bsc(0.1, constraint=1.0), n=30, rate=0.1, epsilon=0.1, delta=0.06,
                                 seed=8, backoff=0.5, mode=mode)
+    assert len(scanned) == 1
     first, second = validate_codebook(cb), validate_codebook(cb)
+    select_pairs(cb, pair_budget=2)
     simulate_errors(cb, trials=10, seed=1, pair_budget=2)
     assert cb.word_count > 2 and first == second
     assert report.min_distance == first["min_distance"] >= report.separation
-    assert sum(b is cb.words for b in scanned) == 1
+    assert len(scanned) == 1
     assert matrices == []
 
 
