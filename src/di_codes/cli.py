@@ -69,6 +69,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_FAILURE, f"{self.prog}: error: {message}\n")
 
 
+class _Json(str):
+    """An int's repr from an integer array's lookup table (see ``_json_chunks``)."""
+
+
 def _json_chunks(obj, indent: str = ""):
     """Yield the text ``json.dump(obj, fh, indent=2)`` writes, in chunks.
 
@@ -76,9 +80,17 @@ def _json_chunks(obj, indent: str = ""):
     floats as the strings "inf", "-inf" and "nan", since strict JSON has no
     Infinity. A list of only exact ints, or of only finite floats, is written
     in one chunk with the reprs ``json`` itself uses; any other list goes item
-    by item. Strings, bools, None and dict keys are left to ``json``.
+    by item; an integer array spanning no more values than it has entries
+    takes the reprs from one lookup table of that span. Strings, bools, None
+    and dict keys are left to ``json``.
     """
     if isinstance(obj, np.ndarray):
+        if obj.ndim and obj.size and obj.dtype.kind in "iu":
+            lo, hi = int(obj.min()), int(obj.max())
+            if hi - lo < obj.size:
+                table = np.array([_Json(v) for v in range(lo, hi + 1)], dtype=object)
+                # In 64 bits of the array's own signedness obj - lo, in [0, size), is exact.
+                obj = table[np.subtract(obj, lo, dtype=obj.dtype.kind + "8")]
         obj = obj.tolist()
     inner = indent + "  "
     if isinstance(obj, dict):
@@ -86,9 +98,9 @@ def _json_chunks(obj, indent: str = ""):
         items = [(json.dumps({k: None})[1:-7] + ": ", v) for k, v in obj.items()]
         brackets = "{}"
     elif isinstance(obj, (list, tuple)):
-        types = set(map(type, obj))
-        if types == {int} or (types == {float} and all(map(math.isfinite, obj))):
-            text = map(int.__repr__ if types == {int} else float.__repr__, obj)
+        types = {_Json} if obj and type(obj[0]) is _Json else set(map(type, obj))  # an array row: all _Json
+        if types == {_Json} or types == {int} or (types == {float} and all(map(math.isfinite, obj))):
+            text = obj if types == {_Json} else map(int.__repr__ if types == {int} else float.__repr__, obj)
             yield "[\n" + inner + (",\n" + inner).join(text) + "\n" + indent + "]"
             return
         items = [("", v) for v in obj]
@@ -220,12 +232,13 @@ def _cmd_codebook_dmc(parser: _Parser, args: argparse.Namespace) -> int:
         cost_margin=args.cost_margin,
     )
     report_dict = report.to_dict()
+    record = {**codebook_to_dict(codebook), "words": codebook.words}  # the array, written in one lookup
     payload = {"report": report_dict, "validation": validate_codebook(codebook)}
     if args.output:
-        _write_json(args.output, {"codebook": codebook_to_dict(codebook), "report": report_dict})
+        _write_json(args.output, {"codebook": record, "report": report_dict})
         payload["output"] = args.output
     else:
-        payload["codebook"] = codebook_to_dict(codebook)
+        payload["codebook"] = record
     _emit(args, payload, seed=args.seed)
     return EXIT_OK
 

@@ -13,8 +13,8 @@ words whose spheres contain no other sample). The "greedy" policy keeps a
 maximal prefix-greedy subset and typically retains far more words; it trades
 the clean counting argument for yield.
 
-One upper-triangle Hamming scan per build, bounded in memory at any size,
-both expurgates (or packs) and measures the kept words' closest pair.
+One float32 upper-triangle Hamming scan per build, bounded in memory at any
+size, both expurgates (or packs) and measures the kept words' closest pair.
 """
 
 from __future__ import annotations
@@ -48,14 +48,11 @@ from .typicality import (
 
 DEFAULT_MAX_WORDS = 2**20
 
-_SCAN_BYTES = 2**26  # a block of the one scan that expurgates and measures: int64 distances and float32 agreements
+_SCAN_BYTES = 2**26  # a block of the one scan that expurgates and measures, at 8 bytes a distance (see _scan)
 
 # The build's peak, checked against _MAX_BUILD_BYTES: up to 24 bytes a sampled
 # symbol for the words (int64: the sample, the kept words in the channel's
 # letters, the codebook's copy), which the estimate rounds to 32, and one scan block.
-
-# Stands in for "no other word": larger than every Hamming distance.
-_FAR = np.iinfo(np.int64).max
 
 # (distance, i, j), i < j: the closest pair np.argmin finds first in the full matrix; None below two words.
 _Closest = tuple[int, int, int] | None
@@ -172,40 +169,37 @@ def construction_base_type(channel: Dmc, n: int, cost_margin: float = 0.0) -> Em
 def _scan(words: np.ndarray, separation: int, letters: np.ndarray, greedy: bool) -> tuple[np.ndarray, _Closest]:
     """(keep, closest) of one upper-triangle Hamming scan, bounded in memory at any size.
 
-    Row block s holds the distances from words[s:s + rows] to words[s:], _FAR
-    on the diagonal, so each pair i < j is computed once. near[k], final once
+    Row block s holds the float32 distances from words[s:s + rows] to words[s:]
+    (at its peak with one temporary of their shape: 8 bytes a distance), inf on
+    the diagonal, so each pair i < j is computed once. near[k], final once
     word k is decided (kept iff near[k] >= separation), is its distance to the
     closest other word, or in greedy mode to the closest word kept before it.
     Then the block's kept rows lower low[k] and arg[k]: the least distance
     from a kept word to word k, and the first kept word at it.
     """
     m = len(words)
-    near, low, arg = np.full(m, _FAR), np.full(m, _FAR), np.zeros(m, dtype=np.int64)
-    rows = max(1, _SCAN_BYTES // (12 * max(1, m)))
+    near, low, arg = np.full(m, np.inf), np.full(m, np.inf), np.zeros(m, dtype=np.int64)
+    rows = max(1, _SCAN_BYTES // (8 * max(1, m)))
     for s in range(0, m, rows):
-        # A block of the whole tail (words itself at s = 0) serves both sides with one one-hot table.
-        tail = words[s:] if s else words
-        square = rows >= len(tail)
+        tail = words[s:]
+        square = rows >= len(tail)  # the whole tail: symmetric, and one encoded table serves both sides
         dist = _hamming_blocks(tail if square else tail[:rows], tail, letters)
-        np.fill_diagonal(dist, _FAR)
+        np.fill_diagonal(dist, np.inf)
         if greedy:  # each kept word lowers the words after it as it is kept
             for i in range(s, s + len(dist)):
                 if near[i] >= separation:
                     np.minimum(near[i + 1:], dist[i - s, i + 1 - s:], out=near[i + 1:])
         else:
             np.minimum(near[s:s + len(dist)], dist.min(axis=1), out=near[s:s + len(dist)])
-            np.minimum(near[s:], dist.min(axis=0), out=near[s:])
+            if not square:
+                np.minimum(near[s:], dist.min(axis=0), out=near[s:])
         dropped = near[s:s + len(dist)] < separation
-        dist[dropped] = _FAR
-        if square:  # symmetric once its dropped columns go too: its rows' argmin is far cheaper
-            dist[:, dropped] = _FAR
-            first = dist.argmin(axis=1)
-            least = dist[np.arange(len(tail)), first]
-        else:  # a column argmin would copy the block; each distance carries its row instead, in place
-            np.minimum(dist, words.shape[1] + 1, out=dist)  # n + 1: above every distance, like _FAR
-            dist *= len(dist)
-            dist += np.arange(len(dist))[:, None]
-            least, first = np.divmod(dist.min(axis=0), len(dist))
+        dist[dropped] = np.inf
+        if square:  # symmetric once its dropped columns go too, so its transpose's column argmin copies nothing
+            dist[:, dropped] = np.inf
+            dist = dist.T
+        first = dist.argmin(axis=0)  # a rectangular block's copy is the temporary allowed for
+        least = dist[first, np.arange(len(tail))]
         better = least < low[s:]  # strictly: an earlier block's row comes first
         np.copyto(low[s:], least, where=better)
         np.copyto(arg[s:], s + first, where=better)

@@ -43,7 +43,7 @@ DEFAULT_ENUMERATION_BUDGET = 2**24
 _TIE_GUARD = 1e-9
 
 # Hamming kernel blocks: below 2**24 positions every float32 partial sum of
-# agreements is an exact integer; the one-hot blocks stay near this many bytes.
+# agreements is an exact integer; the encoded blocks stay near this many bytes.
 _EXACT_FLOAT32 = 2**24
 _ONE_HOT_BYTES = 2**24
 
@@ -247,51 +247,53 @@ def sample_type_class(et: EmpiricalType, count: int, rng: np.random.Generator) -
     return words
 
 
-def _one_hot(words: np.ndarray, letters: np.ndarray) -> np.ndarray:
-    """float32 indicators, one column per (position, letter)."""
+def _encode(words: np.ndarray, letters: np.ndarray) -> np.ndarray:
+    """float32 columns whose products count agreements; see ``pairwise_hamming``."""
     m, n = words.shape
+    if len(letters) == 2:
+        return np.where(words == letters[0], np.float32(1), np.float32(-1))
     return (words[:, :, None] == letters).reshape(m, n * len(letters)).astype(np.float32)
 
 
 def _hamming_blocks(a: np.ndarray, b: np.ndarray, letters: np.ndarray) -> np.ndarray:
-    """Hamming distances between every row of ``a`` and every row of ``b``.
-
-    Letters outside ``letters`` agree with nothing. See ``pairwise_hamming``
-    for why the float32 products are exact.
-    """
-    ma, n = a.shape
-    mb = b.shape[0]
-    q = len(letters)
-    cols = max(1, min(n, _EXACT_FLOAT32 - 1, _ONE_HOT_BYTES // (4 * max(1, q * ma, q * mb))))
-    dist = np.full((ma, mb), n, dtype=np.int64)
-    for start in range(0, n, cols):
-        ha = _one_hot(a[:, start:start + cols], letters)
-        hb = ha if b is a else _one_hot(b[:, start:start + cols], letters)
-        # The agreements are exact integers, so the cast to int64 loses nothing.
-        np.subtract(dist, ha @ hb.T, out=dist, casting="unsafe")
+    """Hamming distances from every row of ``a`` to every row of ``b``, all letters in ``letters``,
+    in the first product's float32 buffer (float64 from n = 2**24 on); see ``pairwise_hamming``."""
+    n = a.shape[1]
+    width = 1 if len(letters) == 2 else len(letters)  # columns a position
+    cols = max(1, min(n, _EXACT_FLOAT32 - 1, _ONE_HOT_BYTES // (4 * max(1, width * len(a), width * len(b)))))
+    acc = np.float32 if n < _EXACT_FLOAT32 else np.float64  # exact for every partial distance
+    dist = None
+    for start in range(0, max(n, 1), cols):  # one empty block when n = 0
+        ha = _encode(a[:, start:start + cols], letters)
+        hb = ha if b is a else _encode(b[:, start:start + cols], letters)
+        block = ha @ hb.T
+        np.subtract(min(cols, n - start), block, out=block)  # c positions minus the agreements, or minus S
+        if len(letters) == 2:
+            block *= 0.5  # (c - S) / 2
+        dist = block.astype(acc, copy=False) if dist is None else np.add(dist, block, out=dist)
     return dist
 
 
 def pairwise_hamming(words: np.ndarray, alphabet_size: int) -> np.ndarray:
     """All pairwise Hamming distances of the rows of ``words``, as int64.
 
-    The words are one-hot encoded to float32, one column per (position,
-    letter), and the agreements of every pair come out of one matrix product
-    per block of positions; the distance is n minus the agreements.
+    One float32 matrix product per block of c positions gives every pair's S:
+    with two letters, one +-1 column per position makes S agreements minus
+    disagreements and the distance (c - S) / 2; otherwise one 0/1 column per
+    (position, letter) makes S the agreements and the distance c - S.
 
-    Exact: every product is 0 or 1, so every partial sum a BLAS kernel forms,
-    in whatever order, is an integer between 0 and the block's number of
-    positions. Blocks stay below 2**24 positions, and every integer up to
-    2**24 is exactly a float32; the blocks are summed in int64.
+    Exact: every partial sum a BLAS kernel forms is an integer of magnitude at
+    most c < 2**24, so a float32, and c - S is even below 2**25; the distances,
+    integers up to n, are summed in float32 below n = 2**24, else in float64.
 
-    Memory: the M x M result (int64) and one float32 product, plus one-hot
-    blocks of at most about ``_ONE_HOT_BYTES`` (at least one position per
-    block): O(M^2 + M*n) in all.
+    Memory: the M x M distances (float32, and the int64 result), one float32
+    product per further block, and encoded blocks of about ``_ONE_HOT_BYTES``.
     """
     w = np.asarray(words, dtype=np.int64)
     if w.ndim != 2:
         raise ValueError("words must be a 2-D array")
-    return _hamming_blocks(w, w, np.arange(alphabet_size))
+    _as_word(w.ravel(), alphabet_size, "words")
+    return _hamming_blocks(w, w, np.arange(alphabet_size)).astype(np.int64)
 
 
 def _joint_counts(word: np.ndarray, outputs: np.ndarray, input_size: int, output_size: int) -> np.ndarray:

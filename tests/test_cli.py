@@ -516,6 +516,14 @@ _arrays = st.one_of(*(
     hnp.arrays(dtype, hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=4), elements=elements)
     for dtype, elements in [(np.int64, None), (np.float64, st.floats()), (np.bool_, None)]
 ))
+# Integer arrays of 1-D and 2-D shapes, (0, n) and (m, 0) among them: narrow
+# values, negative ones too, take the lookup of their span; full-range ones
+# span more integers than they have entries and go through tolist().
+_int_arrays = st.one_of(*(
+    hnp.arrays(dtype, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=9), elements=elements)
+    for dtype in (np.int8, np.int32, np.uint8, np.int64)
+    for elements in (None, st.integers(0 if np.dtype(dtype).kind == "u" else -3, 3))
+))
 _lists = st.one_of(
     st.lists(st.integers()), st.lists(_finite), st.lists(st.floats()),
     st.lists(st.one_of(st.integers(), _finite)), st.lists(st.one_of(st.integers(), st.booleans())),
@@ -523,7 +531,7 @@ _lists = st.one_of(
 )
 _keys = st.one_of(st.text(), st.integers(), st.floats(), st.booleans(), st.none())
 _values = st.recursive(
-    st.one_of(_scalars, _arrays, _lists),
+    st.one_of(_scalars, _arrays, _int_arrays, _lists),
     lambda inner: st.lists(inner, max_size=4) | st.tuples(inner, inner)
     | st.dictionaries(_keys, inner, max_size=4),
     max_leaves=20,
@@ -540,14 +548,21 @@ def test_json_chunks_hand_cases():
         {}, [], {"a": []}, [[], {}], {1: [1, 2], "x": (0.5, -0.0)}, [True, 1], [1, 1.0],
         [math.inf, -math.inf, math.nan, 1.0], np.arange(6).reshape(2, 3), np.float32(0.1),
         np.array([[True, False]]), np.array(2.5), {"é\u2603": "snow ☃"}, [np.int64(3), 4],
+        # lookups whose offsets overflow int8 and sit at the ends of uint64 and int64; an int
+        # array beside a list of str; an (m, 0) int array
+        np.arange(-100, 101, dtype=np.int8), np.array([2**64 - 1, 2**64 - 2, 2**64 - 1], dtype=np.uint64),
+        np.array([[-2**63, 1 - 2**63]] * 2), [np.array([1, 2]), ["1", "2"]], np.zeros((3, 0), dtype=np.int8),
     ]
     for obj in cases:
         assert "".join(_json_chunks(obj)) == json.dumps(_old_json_safe(obj), indent=2)
-    # a row of numbers is one chunk, however long it is
+    # a row of numbers is one chunk, however long it is, in a list or an integer array
     def chunks(length):
         return list(_json_chunks({"words": [[0, 1] * length, [0.5] * length]}))
 
-    assert len(chunks(1)) == len(chunks(500)) == 7
+    def array_chunks(length):
+        return list(_json_chunks({"words": np.tile([0, 1], (2, length))}))
+
+    assert len(chunks(1)) == len(chunks(500)) == len(array_chunks(1)) == len(array_chunks(500)) == 7
 
 
 def test_dmc_commands_load_no_scipy(tmp_path):

@@ -125,7 +125,7 @@ def slow_closest(rows):
     m=st.integers(0, 20),
     n=st.integers(1, 8),
     separation=st.integers(0, 6),
-    letters=st.sampled_from([(0, 1), (0, 1, 2), (0, 1, 2, 3, 4), (3, 7)]),
+    letters=st.sampled_from([(0, 1), (0, 1, 2), (0, 1, 2, 3, 4), (3, 7), (1, 4)]),
     repeat=st.integers(0, 3),
     scan_bytes=st.sampled_from([60, 500, 2000, dmc_code._SCAN_BYTES]),
     one_hot_bytes=st.sampled_from([1, typicality._ONE_HOT_BYTES]),
@@ -229,6 +229,21 @@ def test_faithful_build_stays_within_its_memory_estimate(monkeypatch):
         tracemalloc.stop()
     assert report.requested_words == m
     assert peak < 32 * m * n + dmc_code._SCAN_BYTES
+
+
+def test_multi_block_scan_stays_within_the_words_and_one_block():
+    # 16 385 words take 33 row blocks. Each peaks at its float32 distances and
+    # the copy a column argmin makes, within _SCAN_BYTES; the encoded tail
+    # (float32, one column a position) is smaller than the int64 words.
+    words = np.random.default_rng(13).integers(0, 2, (16385, 40))
+    tracemalloc.start()
+    try:
+        keep, _ = drop_close_pairs(words, 4, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert keep.sum() > 16000
+    assert peak < words.nbytes + dmc_code._SCAN_BYTES
 
 
 @pytest.mark.parametrize("mode", ["faithful", "greedy"])

@@ -410,6 +410,46 @@ def test_pairwise_hamming_matches_nested_loops(q, m, n, one_hot_bytes, seed):
             assert d[i, j] == hamming_distance(words[i], words[j])
 
 
+def test_pairwise_hamming_refuses_letters_outside_the_alphabet():
+    # The kernel takes every letter to lie in the alphabet: with two letters a
+    # 5 would count as a 1.
+    with pytest.raises(ValueError, match="outside"):
+        pairwise_hamming(np.array([[0, 1], [5, 1]]), 2)
+    with pytest.raises(ValueError, match="outside"):
+        pairwise_hamming(np.array([[0, -1]]), 3)
+
+
+@given(
+    letters=st.sampled_from([(0, 1), (1, 4), (7,), (0, 1, 2), (2, 3, 5, 8)]),
+    ma=st.integers(0, 12),
+    mb=st.integers(0, 12),
+    n=st.integers(0, 40),
+    one_hot_bytes=st.sampled_from([1, 100, typicality._ONE_HOT_BYTES]),
+    exact=st.sampled_from([4, typicality._EXACT_FLOAT32]),
+    seed=st.integers(0, 10**6),
+)
+def test_hamming_blocks_match_nested_loops(letters, ma, mb, n, one_hot_bytes, exact, seed):
+    # Rectangular a != b over any letter set. Two letters take one +-1 column a
+    # position, other sets one-hot columns; the same words under the set with
+    # one unused letter more switch encodings (one-hot for two letters, +-1 for
+    # one) and must give the same distances. Small budgets split the positions
+    # into blocks, down to one; a small _EXACT_FLOAT32 moves the accumulator to
+    # float64 from n = 4 on, as from 2**24 on.
+    rng = np.random.default_rng(seed)
+    a, b = (np.asarray(letters)[rng.integers(0, len(letters), (m, n))] for m in (ma, mb))
+    wider = np.array(letters + (max(letters) + 1,))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(typicality, "_ONE_HOT_BYTES", one_hot_bytes)
+        mp.setattr(typicality, "_EXACT_FLOAT32", exact)
+        d = typicality._hamming_blocks(a, b, np.asarray(letters))
+        other = typicality._hamming_blocks(a, b, wider)
+    assert d.shape == (ma, mb) and d.dtype == (np.float32 if n < exact else np.float64)
+    assert np.array_equal(d, other)
+    for i in range(ma):
+        for j in range(mb):
+            assert d[i, j] == hamming_distance(a[i], b[j])
+
+
 @given(
     n=st.integers(0, 200),
     raw=st.lists(st.integers(1, 50), min_size=1, max_size=6),
