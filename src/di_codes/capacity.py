@@ -94,8 +94,8 @@ def _gibbs_pmf(cost: np.ndarray, lam: float) -> np.ndarray:
 def max_entropy_pmf(cost: Sequence[float] | np.ndarray, limit: float) -> CapacityResult:
     """Maximize entropy over pmfs with E[cost] <= limit (costs in bits domain).
 
-    Bisection on the Gibbs exponent runs until |E[cost] - limit| <= 1e-10
-    (in practice to bracket exhaustion, far below that tolerance).
+    The Gibbs exponent is doubled until E[cost] < limit, then bisected until no float
+    lies inside its bracket; the residual must then be at most 1e-10 * max|cost|.
     """
     c = np.asarray(cost, dtype=float)
     k = c.size
@@ -133,25 +133,21 @@ def max_entropy_pmf(cost: Sequence[float] | np.ndarray, limit: float) -> Capacit
         return float(_gibbs_pmf(c, lam) @ c)
 
     lo, hi = 0.0, 1.0
-    for _ in range(200):
-        if expected(hi) < limit:
-            break
+    while expected(hi) >= limit:  # NaN, which ends it, once hi overflows
         lo, hi = hi, hi * 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:  # every step shrinks the bracket
         if expected(mid) > limit:
             lo = mid
         else:
             hi = mid
-    lam = 0.5 * (lo + hi)
-    p = _gibbs_pmf(c, lam)
-    gap = abs(float(p @ c) - limit)
+    p = _gibbs_pmf(c, mid)
+    gap = abs(float(p @ c) - limit) / float(np.abs(c).max())
     if not gap <= 1e-10:
-        raise RuntimeError(f"cost bisection failed to converge: residual {gap}")
+        raise RuntimeError(f"cost bisection ended off the limit: relative residual {gap}")
     return CapacityResult(
         value_bits=entropy_bits(p),
         maximizer=p,
-        lagrange_multiplier=lam,
+        lagrange_multiplier=mid,
         binding=True,
     )
 

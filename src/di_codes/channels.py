@@ -224,7 +224,7 @@ def transmit_gauss(channel: GaussChannel, codeword: Sequence[float] | np.ndarray
     if x.ndim != 1 or x.size == 0:
         raise ValueError("codeword must be a nonempty vector")
     energy = float(x @ x)
-    if energy > channel.power * x.size + 1e-9:
+    if not energy <= channel.power * x.size + 1e-9:  # NaN fails it
         raise ValueError(
             f"codeword energy {energy} exceeds the power budget {channel.power * x.size}"
         )

@@ -35,6 +35,7 @@ from .typicality import (
     EmpiricalType,
     TypicalityParams,
     _aligned,
+    _as_word,
     _conditional_targets,
     _hamming_blocks,
     _typical_rows,
@@ -78,13 +79,9 @@ class DmcCodebook:
     base: EmpiricalType | None = None
 
     def __post_init__(self):
-        w = np.asarray(self.words, dtype=np.int64)
-        if w.ndim != 2:
-            raise ValueError("words must be an (M, n) array")
+        w = _as_word(self.words, self.channel.input_size, "words", 2)
         if w.shape[1] < 1:
             raise ValueError("block length must be positive")
-        if w.size and (w.min() < 0 or w.max() >= self.channel.input_size):
-            raise ValueError("codeword letter outside the input alphabet")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError("epsilon must lie in [0, 1]")
         TypicalityParams(self.delta)
@@ -495,13 +492,13 @@ def codebook_to_dict(codebook: DmcCodebook) -> dict:
 
 def codebook_from_dict(data: dict) -> DmcCodebook:
     channel = dmc_from_dict(data["channel"])
-    words = np.asarray(data["words"], dtype=np.int64)
     base = None
     if data.get("base_counts") is not None:
-        base = EmpiricalType(tuple(int(c) for c in data["base_counts"]), int(words.shape[1]))
+        counts = tuple(int(c) for c in data["base_counts"])
+        base = EmpiricalType(counts, sum(counts))  # DmcCodebook checks its length against the words
     return DmcCodebook(
         channel=channel,
-        words=words,
+        words=data["words"],
         epsilon=float(data["epsilon"]),
         delta=float(data["delta"]),
         rate=None if data.get("rate") is None else float(data["rate"]),

@@ -110,7 +110,7 @@ class GaussCodebook:
             raise ValueError("centers must be an (L, n) array")
         packing_radii(self.channel.power, self.epsilon)
         TypicalityParams(self.delta)
-        if c.size and float((c * c).sum(axis=1).max()) > self.channel.power + 1e-9:
+        if c.size and not float((c * c).sum(axis=1).max()) <= self.channel.power + 1e-9:  # NaN fails it
             raise ValueError("a center violates the power constraint")
         c = c.copy()
         c.setflags(write=False)
@@ -383,8 +383,8 @@ def build_gauss_codebook(
 def gauss_identify(codebook: GaussCodebook, output: Sequence[float] | np.ndarray, candidate: int) -> bool:
     """Energy-threshold decoder: accept iff (1/n)||y - x_j||^2 <= sigma2 + delta."""
     y = np.asarray(output, dtype=np.float64)
-    if y.shape != (codebook.block_length,):
-        raise ValueError("output length disagrees with the codebook")
+    if y.shape != (codebook.block_length,) or not np.isfinite(y).all():
+        raise ValueError("output must be a finite vector of the codebook's block length")
     return bool(_accepts(codebook, y - codebook.codeword(candidate)))
 
 
@@ -417,7 +417,7 @@ def _closest_pair(codebook: GaussCodebook) -> tuple[float, int, int]:
     """(distance, i, j) of a closest pair of centers: one k=2 query on the codebook's tree."""
     d, idx = _query(codebook._tree, codebook.centers, k=2)
     i = int(np.argmin(d[:, 1]))
-    return float(d[i, 1]), i, int(idx[i, 1])
+    return float(d[i, 1]), i, int(idx[i, 1] if idx[i, 1] != i else idx[i, 0])  # a duplicate of i may list first
 
 
 def min_center_distance(codebook: GaussCodebook) -> float:

@@ -107,10 +107,15 @@ class TypicalityParams:
             raise ValueError("delta must be a nonnegative finite number")
 
 
-def _as_word(seq: Sequence[int] | np.ndarray, alphabet_size: int, name: str) -> np.ndarray:
-    word = np.asarray(seq, dtype=np.int64)
-    if word.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional")
+def _as_word(seq: Sequence[int] | np.ndarray, alphabet_size: int, name: str, ndim: int = 1) -> np.ndarray:
+    """``seq`` as an int64 word (``ndim`` 1) or word array (``ndim`` 2) over the letters 0..alphabet_size-1.
+    A letter is a bool, an integer or an integral float: a value the int64 cast would change
+    (0.9, NaN, inf) or no number at all ("1") raises ValueError naming ``name``."""
+    raw = np.asarray(seq)
+    with np.errstate(invalid="ignore"):  # NaN and inf cast to garbage, refused below
+        word = raw.astype(np.int64, copy=False) if raw.dtype.kind in "biuf" else None
+    if word is None or word.ndim != ndim or not (word == raw).all():
+        raise ValueError(f"{name} must be a {('one', 'two')[ndim - 1]}-dimensional array of integer letters")
     if word.size and (word.min() < 0 or word.max() >= alphabet_size):
         raise ValueError(f"{name} contains a letter outside [0, {alphabet_size})")
     return word
@@ -289,10 +294,7 @@ def pairwise_hamming(words: np.ndarray, alphabet_size: int) -> np.ndarray:
     Memory: the M x M distances (float32, and the int64 result), one float32
     product per further block, and encoded blocks of about ``_ONE_HOT_BYTES``.
     """
-    w = np.asarray(words, dtype=np.int64)
-    if w.ndim != 2:
-        raise ValueError("words must be a 2-D array")
-    _as_word(w.ravel(), alphabet_size, "words")
+    w = _as_word(words, alphabet_size, "words", 2)
     return _hamming_blocks(w, w, np.arange(alphabet_size)).astype(np.int64)
 
 
@@ -336,9 +338,7 @@ def is_jointly_typical(
 ) -> bool:
     """Strong joint typicality of (x, y) with respect to ``joint_pmf``."""
     p = np.asarray(joint_pmf, dtype=float)
-    if p.ndim != 2:
-        raise ValueError("joint_pmf must be a matrix")
-    if np.any(p < 0) or abs(float(p.sum()) - 1.0) > 1e-9:
+    if p.ndim != 2 or not (np.all(p >= 0) and abs(float(p.sum()) - 1.0) <= 1e-9):  # NaN fails it
         raise ValueError("joint_pmf must be a probability matrix")
     xa, ya = _aligned(x, y, p.shape[0], p.shape[1])
     return bool(_typical_rows(xa, ya[None, :], xa.size * p, params.delta)[0])
@@ -361,8 +361,8 @@ def _enumeration(
     BudgetError when |Y|^n exceeds ``budget``.
     """
     w = np.asarray(channel_matrix, dtype=float)
-    if w.ndim != 2:
-        raise ValueError("channel_matrix must be a matrix")
+    if w.ndim != 2 or not (np.all(w >= 0) and np.all(np.abs(w.sum(axis=1) - 1.0) <= 1e-9)):  # NaN, inf fail it
+        raise ValueError("channel_matrix must be a matrix of finite nonnegative rows summing to 1")
     word = _as_word(x, w.shape[0], "x")
     n, out_size = word.size, w.shape[1]
     total = out_size**n
@@ -416,7 +416,7 @@ def intersection_ratio(
     if empirical_type(x1, w.shape[0]) != empirical_type(x2, w.shape[0]):
         raise ValueError("x1 and x2 must have the same empirical type")
     word1, targets, blocks = _enumeration(x1, w, budget)
-    word2 = np.asarray(x2, dtype=np.int64)
+    word2 = _as_word(x2, w.shape[0], "x2")
     g1 = both = 0
     for outputs in blocks:
         ok = _typical_rows(word1, outputs, targets, params.delta)
@@ -436,7 +436,7 @@ def apportion_counts(pmf: Sequence[float] | np.ndarray, n: int) -> EmpiricalType
     ties going to the lowest letter index.
     """
     p = np.asarray(pmf, dtype=float)
-    if p.ndim != 1 or np.any(p < 0) or abs(float(p.sum()) - 1.0) > 1e-9:
+    if p.ndim != 1 or not (np.all(p >= 0) and abs(float(p.sum()) - 1.0) <= 1e-9):  # NaN fails it
         raise ValueError("pmf must be a probability vector")
     if n < 0:
         raise ValueError("n must be nonnegative")

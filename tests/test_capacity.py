@@ -32,6 +32,7 @@ from di_codes import (
     reduce_channel,
     same_type_pair,
 )
+from di_codes import capacity
 from di_codes.typicality import empirical_type, hamming_distance
 
 
@@ -96,6 +97,71 @@ def test_bisection_refuses_a_nan_residual(monkeypatch):
     monkeypatch.setattr("di_codes.capacity._gibbs_pmf", lambda cost, lam: np.full(cost.size, math.nan))
     with pytest.raises(RuntimeError, match="residual nan"):
         max_entropy_pmf((0.0, 1.0), 0.3)
+
+
+def _capped_bisection(c, limit):
+    """The solver's two loops before they ended on their own: 200 doublings at most, then
+    200 halvings, whatever the bracket. Kept as the reference the new loops must replay."""
+    def expected(lam):
+        return float(capacity._gibbs_pmf(c, lam) @ c)
+
+    lo, hi = 0.0, 1.0
+    for _ in range(200):
+        if expected(hi) < limit:
+            break
+        lo, hi = hi, hi * 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if expected(mid) > limit:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def test_bisection_replays_the_capped_loops_bit_for_bit():
+    # Wherever the capped reference's lambda stays below 2^200, the loops that
+    # end at bracket exhaustion give the same lambda, maximizer and value.
+    rng = np.random.default_rng(20)
+    compared = 0
+    for _ in range(300):
+        k = int(rng.integers(2, 10))
+        cost = rng.uniform(0, 1, k) * 10.0 ** rng.uniform(-3, 3)
+        if rng.random() < 0.4:  # ties at the minimum
+            cost[rng.choice(k, int(rng.integers(2, k)) if k > 2 else 1, replace=False)] = cost.min()
+        limit = float(cost.min() + rng.random() * (cost.mean() - cost.min()))
+        if not cost.min() < limit < cost.mean():
+            continue
+        lam = _capped_bisection(cost, limit)
+        assert lam < 2.0**200
+        p = capacity._gibbs_pmf(cost, lam)
+        res = max_entropy_pmf(cost, limit)
+        assert res.binding and res.lagrange_multiplier == lam
+        assert res.maximizer.tobytes() == p.tobytes() and res.value_bits == entropy_bits(p)
+        compared += 1
+    assert compared > 250
+
+
+def test_bisection_is_not_capped():
+    # lambda* = log2(9) * 1e100 > 2^200: the capped loops stopped at 2^200 and
+    # returned the uniform pmf (mean cost 5e-101 > 1e-101) and 1.0 bit, which
+    # the absolute 1e-10 residual check let through.
+    res = max_entropy_pmf([0.0, 1e-100], 1e-101)
+    np.testing.assert_allclose(res.maximizer, [0.9, 0.1], rtol=1e-12)
+    assert res.value_bits == pytest.approx(0.4690, abs=1e-4)
+    assert res.value_bits == pytest.approx(entropy_bits([0.9, 0.1]), rel=1e-12)
+    assert res.lagrange_multiplier == pytest.approx(math.log2(9) * 1e100, rel=1e-12)
+    assert _capped_bisection(np.array([0.0, 1e-100]), 1e-101) == 2.0**200
+
+
+@pytest.mark.parametrize("scale", [1e-100, 1.0, 1e100])
+def test_residual_check_fails_at_every_cost_scale(scale, monkeypatch):
+    # An expectation that jumps over the limit at lambda = 3 leaves a residual
+    # of a fifth or three tenths of the largest cost at any scale; an absolute
+    # tolerance of 1e-10 missed it below costs of 1e-10.
+    monkeypatch.setattr(capacity, "_gibbs_pmf", lambda c, lam: np.array([0.5, 0.5] if lam < 3.0 else [1.0, 0.0]))
+    with pytest.raises(RuntimeError, match=r"relative residual 0\.[23]"):
+        max_entropy_pmf([0.0, scale], 0.3 * scale)
 
 
 def test_estimate_L_refuses_an_infinite_delta():

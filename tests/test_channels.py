@@ -279,6 +279,9 @@ def test_gauss_transmit_adds_noise_and_checks_power():
     assert abs(noise.var() - 0.5) < 0.1
     with pytest.raises(ValueError):
         transmit_gauss(ch, np.full(10, 1.5), np.random.default_rng(0))
+    for bad in (np.nan, np.inf):  # a NaN codeword passed "energy > budget" and came back NaN
+        with pytest.raises(ValueError, match="exceeds the power budget"):
+            transmit_gauss(ch, [bad, 0.1], np.random.default_rng(0))
 
 
 def test_gauss_channel_validation():

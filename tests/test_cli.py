@@ -136,6 +136,26 @@ def test_envelopes_replay_except_timestamp(capsys):
     assert json.dumps(env_a, sort_keys=True) == json.dumps(env_b, sort_keys=True)
 
 
+def test_simulate_refuses_fractional_letters_and_non_finite_centers(tmp_path, capsys):
+    # Before, words of 0.9 and 1.2 were simulated as 0 and 1, and a NaN center
+    # was simulated with 50 errors in 50 trials; both commands exited 0.
+    dmc_book, gauss_book = tmp_path / "dmc.json", tmp_path / "gauss.json"
+    dmc_book.write_text(json.dumps({"codebook": {
+        "channel": {"input_size": 2, "output_size": 2, "matrix": [[0.9, 0.1], [0.1, 0.9]],
+                    "cost": [0.0, 1.0], "constraint": 1.0},
+        "epsilon": 0.1, "delta": 0.1, "rate": None, "base_counts": None,
+        "words": [[0.9, 1.2, 0.0, 1.0], [1.0, 0.0, 1.0, 0.0]]}}))
+    gauss_book.write_text(json.dumps({"codebook": {
+        "channel": {"sigma2": 1.0, "power": 1.0}, "epsilon": 0.05, "delta": 0.1,
+        "centers": [[math.nan, 0.1], [0.3, 0.2]]}}))
+    for command, book, message in (("simulate-dmc", dmc_book, "words must be a two-dimensional array of integer"),
+                                   ("simulate-gauss", gauss_book, "violates the power constraint")):
+        code = main([command, "--codebook", str(book), "--trials", "50", "--seed", "1", "--pair-budget", "0"])
+        out, err = capsys.readouterr()
+        assert code == EXIT_FAILURE and out == ""
+        assert err.startswith("di-codes: error:") and message in err
+
+
 def test_gauss_round_trip(tmp_path, capsys):
     book = tmp_path / "gauss.json"
     code, env = run_json(capsys, [

@@ -611,6 +611,28 @@ def test_codebook_rejects_bad_letters():
     ch = bsc(0.1, constraint=1.0)
     with pytest.raises(ValueError):
         DmcCodebook(channel=ch, words=np.array([[0, 2]]), epsilon=0.0, delta=0.1)
+    # Before, the int64 cast kept [[0, 1, 0]] for the first of these.
+    for bad in ([[0.5, 1.9, 0.0]], [[0, 1, math.nan]], [[0, 1, math.inf]], [[0, "1", 1]], [0, 1, 0], [[[0, 1]]]):
+        with pytest.raises(ValueError, match="words must be a two-dimensional array of integer letters"):
+            DmcCodebook(channel=ch, words=bad, epsilon=0.0, delta=0.1)
+
+
+def test_fractional_letters_are_refused_not_truncated():
+    # Before, identify took the output [0.9]*5 + [1.7]*5 as [0]*5 + [1]*5, and
+    # a loaded file's words were truncated the same way.
+    ch = bsc(0.1, constraint=1.0)
+    cb = DmcCodebook(channel=ch, words=np.array([[0.0] * 5 + [1.0] * 5]), epsilon=0.0, delta=0.1)
+    assert cb.words.dtype == np.int64 and identify(cb, [0] * 5 + [1] * 5, 0)
+    with pytest.raises(ValueError, match="y must be a one-dimensional array of integer letters"):
+        identify(cb, [0.9] * 5 + [1.7] * 5, 0)
+    data = codebook_to_dict(cb)
+    with pytest.raises(ValueError, match="words must be"):
+        codebook_from_dict({**data, "words": [[0.9] * 5 + [1.2] * 5]})
+    # The base type's length is checked against the words by DmcCodebook itself.
+    assert codebook_from_dict(data).base is None
+    assert codebook_from_dict({**data, "base_counts": [5, 5]}).base.counts == (5, 5)
+    with pytest.raises(ValueError, match="base type length disagrees with the words"):
+        codebook_from_dict({**data, "base_counts": [5, 4]})
 
 
 def test_mean_cost_respects_constraint_across_seeds():

@@ -352,6 +352,9 @@ def test_identify_energy_threshold_hand_case():
         gauss_identify(cb, [0.0, 0.0], 0)
     with pytest.raises(ValueError):
         gauss_identify(cb, [0.0], 1)
+    for bad in (math.nan, math.inf, -math.inf):  # a NaN output was answered False
+        with pytest.raises(ValueError, match="finite vector"):
+            gauss_identify(cb, [bad], 0)
 
 
 def test_codeword_scales_by_root_blocklength():
@@ -521,6 +524,23 @@ def test_gauss_codebook_validation():
         GaussCodebook(channel=ch, centers=np.array([[0.1]]), epsilon=0.1, delta=-0.1)
     with pytest.raises(ValueError):
         GaussCodebook(channel=ch, centers=np.array([0.1, 0.2]), epsilon=0.1, delta=0.1)
+    # NaN fails every comparison, so "max > power" let a NaN center through.
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="violates the power constraint"):
+            GaussCodebook(channel=ch, centers=np.array([[bad, 0.1], [0.3, 0.2]]), epsilon=0.1, delta=0.1)
+
+
+@pytest.mark.parametrize("a, b", [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+def test_closest_pair_of_a_duplicated_center_is_two_messages(a, b):
+    # A k = 2 query may list a duplicated center's twin first and the center
+    # itself second; the pair was then (i, i), and pe2 was estimated for a
+    # message against itself, twice.
+    others = iter([[0.5, 0.5], [0.3, -0.1]])
+    centers = [[-0.2, 0.4] if k in (a, b) else next(others) for k in range(4)]
+    cb = GaussCodebook(channel=GaussChannel(1.0, 1.0), centers=np.array(centers), epsilon=0.01, delta=0.1)
+    assert gauss_code._closest_pair(cb) == (0.0, a, b)
+    assert min_center_distance(cb) == 0.0
+    assert simulate_gauss_errors(cb, trials=5, seed=1).pe2_pairs[:2] == ((a, b), (b, a))
 
 
 def test_centers_are_immutable():

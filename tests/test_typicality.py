@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -132,8 +133,10 @@ def test_zero_probability_cell_is_forbidden_regardless_of_delta():
 
 
 def test_rejects_malformed_pmf():
-    with pytest.raises(ValueError):
-        is_jointly_typical([0], [0], np.array([[0.5, 0.2], [0.1, 0.1]]), TypicalityParams(0.1))
+    # NaN fails every comparison, so "p < 0 or |sum - 1| > tol" let a NaN entry through.
+    for bad in ([[0.5, 0.2], [0.1, 0.1]], [[0.5, math.nan], [0.25, 0.25]], [0.5, 0.5]):
+        with pytest.raises(ValueError, match="joint_pmf must be a probability matrix"):
+            is_jointly_typical([0], [0], np.array(bad), TypicalityParams(0.1))
     # Letters out of range and length mismatches are refused, not counted.
     pmf = np.full((2, 2), 0.25)
     for x, y in (([0, 0], [2, 0]), ([0, 0], [0, -1]), ([0, 2], [0, 0]), ([0, 0], [0])):
@@ -490,3 +493,80 @@ def test_joint_type_marginals_are_the_empirical_types(kx, ky, n, seed):
     jt = joint_type(x, y, kx, ky)
     assert jt.input_marginal() == empirical_type(x, kx)
     assert jt.output_marginal() == empirical_type(y, ky)
+
+
+# --- the letter rule ---
+
+
+_KINDS = {"int64": np.int64, "int32": np.int32, "uint8": np.uint8, "bool": bool, "float64": np.float64,
+          "float32": np.float32, "list": None}
+
+
+@given(
+    kind=st.sampled_from(sorted(_KINDS)),
+    ndim=st.sampled_from([1, 2]),
+    rows=st.integers(1, 4),
+    cols=st.integers(1, 6),
+    bad=st.sampled_from([0.9, -0.5, 2.5, 1e30, math.nan, math.inf, -math.inf, "1"]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_as_word_takes_integral_letters_and_refuses_the_rest(kind, ndim, rows, cols, bad, seed, data):
+    # One check owns the letter rule for every word and word array: whatever
+    # the int64 cast would change is refused, naming the argument, and the
+    # cast itself never warns.
+    letters = np.random.default_rng(seed).integers(0, 2 if kind == "bool" else 5, (rows, cols))
+    if ndim == 1:
+        letters = letters[0]
+    good = letters.tolist() if kind == "list" else letters.astype(_KINDS[kind])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        word = typicality._as_word(good, 5, "w", ndim)
+        assert word.dtype == np.int64 and word.shape == letters.shape
+        assert np.array_equal(word, letters)
+        with pytest.raises(ValueError, match="w must be a"):
+            typicality._as_word(good, 5, "w", 3 - ndim)
+        spoiled = letters.astype(object)
+        spoiled.flat[data.draw(st.integers(0, letters.size - 1))] = bad
+        with pytest.raises(ValueError, match="w must be a .* array of integer letters"):
+            typicality._as_word(spoiled.tolist(), 5, "w", ndim)
+        if not isinstance(bad, str):
+            with pytest.raises(ValueError, match="w must be a .* array of integer letters"):
+                typicality._as_word(spoiled.astype(float), 5, "w", ndim)
+
+
+def test_fractional_letters_are_refused_not_truncated():
+    # Before, the int64 cast made these (1, 2): 0.5 -> 0, 1.5 -> 1.
+    for bad in ([0.5, 1.5, 1.0], [0.0, math.nan], [1, "1"]):
+        with pytest.raises(ValueError, match="sequence must be a one-dimensional array of integer letters"):
+            empirical_type(bad, 2)
+    assert empirical_type([0.0, 1.0, True], 2).counts == (1, 2)
+    with pytest.raises(ValueError, match="array of integer letters"):
+        intersection_ratio([0, 1], np.array([0.0, 1.0]) + [0, 1e-12], np.eye(2), TypicalityParams(0.1))
+
+
+# --- probability tables ---
+
+
+def test_apportion_counts_refuses_a_pmf_that_is_not_one():
+    # A NaN entry passed "p < 0 or |sum - 1| > tol" and failed later with "negative count".
+    for pmf in ([math.nan, 1.0], [0.5, math.nan], [math.inf, 0.0], [1.5, -0.5], [0.5, 0.4]):
+        with pytest.raises(ValueError, match="pmf must be a probability vector"):
+            apportion_counts(pmf, 4)
+
+
+@pytest.mark.parametrize("matrix", [
+    [[0.9, math.nan], [0.1, 0.9]],
+    [[0.9, 0.1], [math.inf, 0.9]],
+    [[1.1, -0.1], [0.1, 0.9]],
+    [[0.9, 0.2], [0.1, 0.9]],
+    [0.5, 0.5],
+])
+def test_enumeration_refuses_a_matrix_that_is_not_row_stochastic(matrix):
+    # Before, a NaN entry gave an empty typical set, or a DegenerateTypicalitySetError
+    # that said "increase delta".
+    params = TypicalityParams(0.2)
+    with pytest.raises(ValueError, match="channel_matrix must be a matrix of finite nonnegative rows"):
+        enumerate_conditional_typical([0, 1, 1, 0], matrix, params)
+    with pytest.raises(ValueError, match="channel_matrix must be a matrix of finite nonnegative rows"):
+        intersection_ratio([0, 1, 1, 0], [1, 0, 0, 1], matrix, params)
