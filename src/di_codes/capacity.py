@@ -11,11 +11,11 @@ log2(k) for k reduced letters; otherwise the maximizer is the Gibbs
 distribution p(x) proportional to 2^(-lambda*cost(x)) with lambda chosen so the
 cost constraint is met with equality.
 
-The module also provides the matching converse-side counting quantities (how
-many cost-feasible words exist, and the capacity-plus-polynomial-slack bound
-that dominates that count) and an empirical estimate of the decay rate of the
-overlap between conditional typical sets, which controls the type-II error
-exponent of the typicality decoder.
+The module also provides the converse-side counting quantities (how many
+cost-feasible words exist, and the capacity-plus-polynomial-slack bound that
+dominates that count), an empirical estimate of the decay rate of the overlap
+between conditional typical sets, which controls the decoder's type-II error
+exponent, and the Gaussian packing rate gaussian_rate_bound, from gauss_code.
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import Dmc, reduce_channel
+from .channels import Dmc, _budget, reduce_channel
 from .errors import BudgetError, InfeasibleConstraintError
-from .gauss_code import packing_radii
+from .gauss_code import gaussian_rate_bound  # noqa: F401  (re-exported; it lives beside packing_radii)
 from .typicality import (
     DEFAULT_ENUMERATION_BUDGET,
     EmpiricalType,
@@ -80,6 +80,8 @@ class ErrorExponentBounds:
 
 def entropy_bits(pmf: Sequence[float] | np.ndarray) -> float:
     p = np.asarray(pmf, dtype=float)
+    if p.ndim != 1 or not (np.all(p >= 0) and abs(float(p.sum()) - 1.0) <= 1e-9):  # NaN fails it
+        raise ValueError("pmf must be a probability vector")
     nz = p[p > 0]
     return float(-(nz * np.log2(nz)).sum())
 
@@ -181,12 +183,6 @@ def bsc_capacity_curve(crossover: float, grid: Sequence[float]) -> list[tuple[fl
     return out
 
 
-def gaussian_rate_bound(power: float, epsilon: float) -> float:
-    """Guaranteed identification rate (1/2)log2(power/eps) - 1 of sphere packing."""
-    packing_radii(power, epsilon)
-    return 0.5 * math.log2(power / epsilon) - 1.0
-
-
 def _compositions(n: int, parts: int):
     """Yield all count vectors of length ``parts`` summing to n."""
     if parts == 1:
@@ -215,7 +211,7 @@ def converse_count(channel: Dmc, n: int, type_budget: int = DEFAULT_TYPE_BUDGET)
             f"type budget {type_budget} exceeded: {n_types} candidate types"
         )
     cost = reduced.cost
-    ceiling = reduced.constraint * n + 1e-9
+    ceiling = _budget(n, reduced.constraint)
     total = 0
     for counts in _compositions(n, k):
         if float(np.dot(counts, cost)) <= ceiling:

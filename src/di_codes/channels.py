@@ -19,13 +19,18 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InfeasibleConstraintError
-from .typicality import _as_word
+from .typicality import _TIE_GUARD, _as_word
 
 # Two rows are the same letter "seen from the output" when they agree entrywise
 # to this tolerance.
 ROW_MERGE_TOL = 1e-12
 
 _GUIDE_CELLS = 2**12  # cells of [0, 1) a letter in the DMC sampler's guide table
+
+
+def _budget(n: int, limit: float) -> float:
+    """The most a block of n letters may cost under the mean per-letter ceiling ``limit``."""
+    return n * limit + _TIE_GUARD
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -224,7 +229,7 @@ def transmit_gauss(channel: GaussChannel, codeword: Sequence[float] | np.ndarray
     if x.ndim != 1 or x.size == 0:
         raise ValueError("codeword must be a nonempty vector")
     energy = float(x @ x)
-    if not energy <= channel.power * x.size + 1e-9:  # NaN fails it
+    if not energy <= _budget(x.size, channel.power):  # NaN fails it
         raise ValueError(
             f"codeword energy {energy} exceeds the power budget {channel.power * x.size}"
         )
@@ -251,7 +256,7 @@ def dmc_to_dict(channel: Dmc) -> dict:
 
 def dmc_from_dict(data: dict) -> Dmc:
     matrix = np.asarray(data["matrix"], dtype=float)
-    if matrix.shape != (int(data["input_size"]), int(data["output_size"])):
+    if matrix.shape != tuple(_as_word([data["input_size"], data["output_size"]], math.inf, "input_size/output_size")):
         raise ValueError("matrix shape disagrees with input_size/output_size")
     return Dmc(matrix=matrix, cost=np.asarray(data["cost"], dtype=float), constraint=float(data["constraint"]))
 

@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .capacity import entropy_bits, max_entropy_pmf
-from .channels import Dmc, _transmit_rows, dmc_from_dict, dmc_to_dict, input_cost, reduce_channel
+from .channels import Dmc, _budget, _transmit_rows, dmc_from_dict, dmc_to_dict, input_cost, reduce_channel
 from .errors import _MAX_BUILD_BYTES, BudgetError, ConstructionError
 from .stats import DEFAULT_PAIR_BUDGET, SimReport, _chunk_rows, _closest_first_pairs, _in_chunks, _simulate
 from .typicality import (
@@ -149,11 +149,11 @@ def construction_base_type(channel: Dmc, n: int, cost_margin: float = 0.0) -> Em
     et = apportion_counts(result.maximizer, n)
     counts = np.asarray(et.counts, dtype=np.int64)
     cost = channel.cost
-    ceiling = n * (channel.constraint - cost_margin)
-    if ceiling < n * float(cost.min()) - _TIE_GUARD:
+    budget = _budget(n, channel.constraint - cost_margin)
+    if n * float(cost.min()) > budget:
         raise ValueError("cost_margin leaves no feasible type")
     cheapest = int(np.argmin(cost))
-    while float(counts @ cost) > ceiling + _TIE_GUARD:
+    while float(counts @ cost) > budget:
         populated = np.flatnonzero(counts > 0)
         worst = populated[np.argmax(cost[populated])]
         if worst == cheapest:
@@ -220,13 +220,13 @@ def drop_close_pairs(words: np.ndarray, separation: int, alphabet_size: int) -> 
     survives iff no other sampled word lies strictly inside its separation
     radius. Symmetric, order-independent, idempotent.
     """
-    return _scan(np.asarray(words, dtype=np.int64), separation, np.arange(alphabet_size), False)
+    return _scan(_as_word(words, alphabet_size, "words", 2), separation, np.arange(alphabet_size), False)
 
 
-def greedy_select(words: np.ndarray, separation: int) -> tuple[np.ndarray, _Closest]:
+def greedy_select(words: np.ndarray, separation: int, alphabet_size: int) -> tuple[np.ndarray, _Closest]:
     """Keep-mask of the prefix-greedy packing: scan order, keep if far from kept;
     and the closest pair of the kept words (see ``_Closest``)."""
-    return _scan(words, separation, np.flatnonzero(np.bincount(words.ravel())), True)
+    return _scan(_as_word(words, alphabet_size, "words", 2), separation, np.arange(alphabet_size), True)
 
 
 def build_codebook(
@@ -299,7 +299,7 @@ def build_codebook(
     if mode == "faithful":
         keep, closest = drop_close_pairs(sampled, separation, reduced.input_size)
     else:
-        keep, closest = greedy_select(sampled, separation)
+        keep, closest = greedy_select(sampled, separation, reduced.input_size)
     reps = np.asarray(rmap.representative, dtype=np.int64)
     words = reps[sampled[keep]]
 
@@ -447,11 +447,6 @@ def same_codeword_conflict(codebook: DmcCodebook, i: int, j: int, trials: int, s
     }
 
 
-def _mean_costs(channel: Dmc, words: np.ndarray) -> np.ndarray:
-    """Mean letter cost of every row; bit for bit what ``input_cost`` gives."""
-    return channel.cost[words].mean(axis=1)
-
-
 def validate_codebook(codebook: DmcCodebook) -> dict:
     """Structural checks: common type, cost feasibility, pairwise separation,
     the last from the codebook's closest pair (see ``DmcCodebook._closest``)."""
@@ -465,7 +460,7 @@ def validate_codebook(codebook: DmcCodebook) -> dict:
         rows = words + q * np.arange(m)[:, None]
         counts = np.bincount(rows.ravel(), minlength=q * m).reshape(m, q)
         same_type = len(ref.counts) == q and bool((counts == ref.counts).all())
-    cost_ok = bool((_mean_costs(channel, words) <= channel.constraint + _TIE_GUARD).all())
+    cost_ok = bool((channel.cost[words].sum(axis=1) <= _budget(n, channel.constraint)).all())
     separation = distance_threshold(n, codebook.epsilon)
     min_distance = None if m < 2 else codebook._closest[0]
     return {
@@ -494,7 +489,7 @@ def codebook_from_dict(data: dict) -> DmcCodebook:
     channel = dmc_from_dict(data["channel"])
     base = None
     if data.get("base_counts") is not None:
-        counts = tuple(int(c) for c in data["base_counts"])
+        counts = tuple(_as_word(data["base_counts"], math.inf, "base_counts").tolist())
         base = EmpiricalType(counts, sum(counts))  # DmcCodebook checks its length against the words
     return DmcCodebook(
         channel=channel,

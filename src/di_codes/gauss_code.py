@@ -1,18 +1,18 @@
 """Deterministic identification over the Gaussian channel via sphere packing.
 
 Geometry is handled in normalized coordinates u = x / sqrt(n), where the
-power constraint ||x||^2 <= n * power becomes ||u|| <= sqrt(power) and the
-noise variance per normalized coordinate is sigma2 / n. Codeword centers are
-packed into the ball of radius r1 = sqrt(power) - sqrt(eps) at pairwise
-distance 2 * r0 with r0 = sqrt(eps), so every protection sphere of radius r0
-stays inside the power ball.
+power constraint ||x||^2 <= n * power (checked on the codewords x against the
+block budget of channels._budget) becomes ||u|| <= sqrt(power); the noise
+variance per normalized coordinate is sigma2 / n. Centers are packed into the
+ball of radius r1 = sqrt(power) - sqrt(eps) at pairwise distance 2 * r0 with
+r0 = sqrt(eps), so every protection sphere of radius r0 stays in the ball.
 
 A greedy random packing is grown until saturation: candidates are drawn
 uniformly from the r1-ball and kept when far enough from all kept centers;
 once probe_budget consecutive candidates have been rejected, the packing is
 declared saturated. A saturated packing covers the r1-ball with 2*r0-balls,
-which forces the count L >= (r1 / (2 * r0))^n; that volume bound is the
-quantity the construction is checked against. Neighbor searches go through a
+which forces the count L >= 2^(n * R) with R = log2(r1 / (2 * r0)), the rate
+that gaussian_rate_bound states (only here). Neighbor searches go through a
 k-d tree: the tail of the saturation run is millions of rejected candidates,
 and a dense distance matrix against every kept center would dominate the
 runtime long before memory became the problem. The tree's cover test runs in
@@ -46,8 +46,8 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from ._threads import worker_count
-from .channels import GaussChannel, gauss_from_dict, gauss_to_dict
-from .errors import _MAX_BUILD_BYTES, BudgetError, ConstructionError
+from .channels import GaussChannel, _budget, gauss_from_dict, gauss_to_dict
+from .errors import _MAX_BUILD_BYTES, BudgetError
 from .stats import DEFAULT_PAIR_BUDGET, SimReport, _closest_first_pairs, _simulate
 from .typicality import TypicalityParams
 
@@ -110,7 +110,8 @@ class GaussCodebook:
             raise ValueError("centers must be an (L, n) array")
         packing_radii(self.channel.power, self.epsilon)
         TypicalityParams(self.delta)
-        if c.size and not float((c * c).sum(axis=1).max()) <= self.channel.power + 1e-9:  # NaN fails it
+        x = math.sqrt(c.shape[1]) * c  # codewords; each stacked product is transmit_gauss's x @ x; NaN fails
+        if c.size and not float((x[:, None] @ x[..., None]).max()) <= _budget(c.shape[1], self.channel.power):
             raise ValueError("a center violates the power constraint")
         c = c.copy()
         c.setflags(write=False)
@@ -188,9 +189,15 @@ def packing_radii(power: float, epsilon: float) -> tuple[float, float]:
     """(r0, r1): protection radius and usable ball radius, normalized units."""
     if not power > 0:
         raise ValueError("power must be positive")
-    if not 0.0 < epsilon < power:
-        raise ValueError("epsilon must be finite and lie strictly between 0 and power")
+    if not (0.0 < epsilon < power and math.sqrt(epsilon) < math.sqrt(power)):  # the last is r1 > 0
+        raise ValueError("epsilon must be finite and lie strictly between 0 and power, with r1 > 0")
     return math.sqrt(epsilon), math.sqrt(power) - math.sqrt(epsilon)
+
+
+def gaussian_rate_bound(power: float, epsilon: float) -> float:
+    """Identification rate log2(r1 / (2 r0)) that every saturated packing certifies."""
+    r0, r1 = packing_radii(power, epsilon)
+    return math.log2(r1 / r0) - 1.0
 
 
 def packing_lower_bound(power: float, epsilon: float, n: int) -> float:
@@ -201,8 +208,7 @@ def packing_lower_bound(power: float, epsilon: float, n: int) -> float:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    r0, r1 = packing_radii(power, epsilon)
-    exponent = n * (math.log2(r1 / r0) - 1.0)
+    exponent = n * gaussian_rate_bound(power, epsilon)
     if exponent > 1023.0:
         return math.inf
     return 2.0 ** exponent
@@ -283,8 +289,6 @@ def build_gauss_codebook(
     if probe_trials < 0:
         raise ValueError("probe_trials must be nonnegative")
     r0, r1 = packing_radii(channel.power, epsilon)
-    if r1 <= 0:
-        raise ConstructionError("epsilon leaves no room inside the power ball")
     # A saturated packing holds at least the bound's centers; a center scalar takes
     # up to 40 bytes (tracemalloc: 32.1 at n = 8 just past a doubling, 65 537 centers).
     bound = packing_lower_bound(channel.power, epsilon, n)

@@ -233,8 +233,11 @@ def test_bsc_capacity_curve_shape():
 
 
 def test_gaussian_rate_bound_values():
-    assert gaussian_rate_bound(1.0, 0.25) == pytest.approx(0.0)
-    assert gaussian_rate_bound(1.0, 0.01) == pytest.approx(0.5 * math.log2(100.0) - 1.0)
+    # The rate the packing certifies, log2(r1 / 2r0), not (1/2)log2(P/eps) - 1 above it.
+    assert gaussian_rate_bound(1.0, 0.01) == pytest.approx(math.log2(9.0) - 1.0)  # 2.170, not 2.322
+    assert gaussian_rate_bound(1.0, 0.25) == pytest.approx(-1.0)  # not 0
+    assert gaussian_rate_bound(2.0, 0.3) == pytest.approx(-0.33826052510639)  # not 0.368
+    assert gaussian_rate_bound(1.0, 0.0025) == pytest.approx(math.log2(19.0) - 1.0)  # 3.248, not 3.322
     with pytest.raises(ValueError):
         gaussian_rate_bound(1.0, 0.0)
 
@@ -321,6 +324,13 @@ def test_error_exponent_bounds_assembly():
 def test_entropy_bits_basics():
     assert entropy_bits([1.0, 0.0]) == 0.0
     assert entropy_bits([0.25] * 4) == 2.0
+
+
+@pytest.mark.parametrize("bad", [[math.nan, 1.0], [0.5, 0.7], [-0.5, 1.5], [[0.5, 0.5]]])
+def test_entropy_bits_refuses_what_is_not_a_pmf(bad):
+    # Before, these gave -0.0, 0.860, -0.877 and 1.0.
+    with pytest.raises(ValueError, match="pmf must be a probability vector"):
+        entropy_bits(bad)
 
 
 @given(st.integers(2, 6), st.integers(1, 99))

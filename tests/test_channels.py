@@ -323,6 +323,14 @@ def test_dmc_round_trip():
     assert back.constraint == ch.constraint
 
 
+@pytest.mark.parametrize("key, value", [("input_size", 2.9), ("output_size", 2.5), ("input_size", "2")])
+def test_dmc_from_dict_refuses_fractional_sizes(key, value):
+    # Before, int() truncated a size of 2.9 to 2 and the channel loaded.
+    data = dmc_to_dict(bsc(0.1))
+    with pytest.raises(ValueError, match="input_size/output_size must be"):
+        dmc_from_dict({**data, key: value})
+
+
 def test_gauss_round_trip():
     ch = GaussChannel(sigma2=0.25, power=4.0)
     back = gauss_from_dict(gauss_to_dict(ch))

@@ -148,7 +148,7 @@ def test_expurgation_matches_slow_oracles(m, n, separation, letters, repeat, sca
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dmc_code, "_SCAN_BYTES", scan_bytes)
         mp.setattr(typicality, "_ONE_HOT_BYTES", one_hot_bytes)
-        scans = [drop_close_pairs(words, separation, q), greedy_select(words, separation)]
+        scans = [drop_close_pairs(words, separation, q), greedy_select(words, separation, q)]
         remeasured = [DmcCodebook(channel=channel, words=words[mask], epsilon=0.0, delta=0.1)._closest
                       for mask, _ in scans]
     (survivors, _), (keep, _) = scans
@@ -168,7 +168,7 @@ def test_drop_close_pairs_removes_both_members():
 
 def test_greedy_keeps_scan_order_winner():
     words = np.array([[0, 0, 0], [0, 0, 1], [1, 1, 1]])
-    keep, closest = greedy_select(words, 2)
+    keep, closest = greedy_select(words, 2, 2)
     assert keep.tolist() == [True, False, True] and closest == (3, 0, 1)
 
 
@@ -580,21 +580,53 @@ def test_validate_flags_violations():
     assert v["min_distance"] == 2
 
 
-def test_mean_costs_equal_input_cost_bit_for_bit():
-    from di_codes import Dmc
+def test_cost_verdict_is_the_budget_on_each_word_total():
+    # validate_codebook compares each word's total cost with channels._budget, the
+    # one rule of every budget site; word by word, its verdict is that comparison,
+    # at the channel's ceiling and at ceilings equal to a word's own mean cost.
+    from di_codes.channels import _budget
 
     wide = to_dmc(1.0, 1.0, 0.5, 4).channel
     rng = np.random.default_rng(12)
     # Costs that are not dyadic make the sums round, so the order of summation shows.
     rough = Dmc(matrix=wide.matrix, cost=np.sort(rng.uniform(0, 3, wide.input_size)), constraint=3.0)
-    cases = [(cb.channel, cb.words) for _, (cb, _) in _golden_builds()]
+    cases = [(cb.channel, cb.words[:8]) for _, (cb, _) in _golden_builds()]
     for n in (1, 7, 9, 128, 129, 1000, 4097):
         cases.append((wide, rng.integers(0, wide.input_size, (5, n))))
         cases.append((rough, rng.integers(0, wide.input_size, (5, n))))
+    verdicts = set()
     for channel, words in cases:
-        got = dmc_code._mean_costs(channel, words)
-        want = np.array([input_cost(channel, w) for w in words])
-        assert got.tobytes() == want.tobytes()
+        for limit in [channel.constraint, *(input_cost(channel, w) for w in words[:3])]:
+            ch = Dmc(matrix=channel.matrix, cost=channel.cost, constraint=limit)
+            for w in words:
+                want = float(ch.cost[w].sum()) <= _budget(w.size, ch.constraint)
+                got = validate_codebook(DmcCodebook(channel=ch, words=w[None], epsilon=0.0, delta=0.1))
+                assert got["cost_feasible"] == want
+                verdicts.add(want)
+    assert verdicts == {False, True}
+
+
+def test_budget_sites_agree_at_the_float_dust_edge():
+    # n = 10 at a ceiling 5e-10 below 0.3: a weight-3 word costs 3.0 > 10 * A + 1e-9.
+    # Before, validate_codebook compared its mean 0.3 with A + 1e-9 and called it
+    # feasible, while converse_count and the construction already refused it.
+    ch = bsc(0.1, cost=(0.0, 1.0), constraint=0.3 - 5e-10)
+    assert construction_base_type(ch, 10).counts == (8, 2)
+    assert converse_count(ch, 10)[0] == 1 + 10 + 45  # the words of weight <= 2, not 176
+    for weight, feasible in ((2, True), (3, False)):
+        word = np.array([[1] * weight + [0] * (10 - weight)])
+        cb = DmcCodebook(channel=ch, words=word, epsilon=0.0, delta=0.1)
+        assert validate_codebook(cb)["cost_feasible"] is feasible
+
+
+@pytest.mark.parametrize("scan", [drop_close_pairs, greedy_select])
+def test_scans_refuse_fractional_letters(scan):
+    # Before, drop_close_pairs truncated both words to [0, 1] and returned
+    # [False, False]; greedy_select raised TypeError on floats, AttributeError on a list.
+    with pytest.raises(ValueError, match="words must be a two-dimensional array of integer letters"):
+        scan([[0.5, 1.9], [0.0, 1.0]], 1, 2)
+    keep, closest = scan([[0, 1], [1, 0]], 1, 2)
+    assert keep.tolist() == [True, True] and closest == (2, 0, 1)
 
 
 def test_codebook_round_trip():
@@ -631,6 +663,8 @@ def test_fractional_letters_are_refused_not_truncated():
     # The base type's length is checked against the words by DmcCodebook itself.
     assert codebook_from_dict(data).base is None
     assert codebook_from_dict({**data, "base_counts": [5, 5]}).base.counts == (5, 5)
+    with pytest.raises(ValueError, match="base_counts must be"):  # before: loaded as (5, 5)
+        codebook_from_dict({**data, "base_counts": [5.9, 5.0]})
     with pytest.raises(ValueError, match="base type length disagrees with the words"):
         codebook_from_dict({**data, "base_counts": [5, 4]})
 

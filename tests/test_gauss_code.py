@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from di_codes import (
@@ -22,6 +24,7 @@ from di_codes import (
     gauss_codebook_from_dict,
     gauss_codebook_to_dict,
     gauss_identify,
+    gaussian_rate_bound,
     min_center_distance,
     packing_lower_bound,
     packing_radii,
@@ -56,6 +59,53 @@ def test_packing_lower_bound_frozen():
 
 def test_packing_lower_bound_overflow_is_inf():
     assert packing_lower_bound(1.0, 0.01, 2000) == math.inf
+
+
+@pytest.mark.parametrize("power, epsilon", [(1.0, 0.01), (1.0, 0.25), (2.0, 0.3), (1.0, 0.0025), (7.7, 0.04)])
+def test_packing_lower_bound_is_two_to_the_n_times_the_rate(power, epsilon):
+    # One formula: the count bound is 2^(n * gaussian_rate_bound), bit for bit below the overflow.
+    rate = gaussian_rate_bound(power, epsilon)
+    for n in (1, 2, 3, 5, 6, 64, 300):
+        if n * rate <= 1023.0:
+            assert packing_lower_bound(power, epsilon, n) == 2.0 ** (n * rate)
+    assert packing_lower_bound(1.0, 0.01, 6) == 8303.765624999993  # every certificate keeps its bits
+
+
+def test_r1_zero_is_refused_by_packing_radii_everywhere():
+    # sqrt(1.0000000000000002) rounds to 1.0, so r1 = sqrt(P) - sqrt(eps) = 0 at eps = 1 < P.
+    # Before, packing_lower_bound raised "math domain error", GaussCodebook accepted
+    # the codebook, and build_gauss_codebook raised ConstructionError from its own guard.
+    power, eps = 1.0000000000000002, 1.0
+    ch = GaussChannel(1.0, power)
+    calls = [lambda: packing_radii(power, eps), lambda: gaussian_rate_bound(power, eps),
+             lambda: packing_lower_bound(power, eps, 3),
+             lambda: GaussCodebook(channel=ch, centers=np.zeros((1, 3)), epsilon=eps, delta=0.1),
+             lambda: build_gauss_codebook(ch, n=3, epsilon=eps, delta=0.1, seed=1)]
+    for call in calls:
+        with pytest.raises(ValueError, match="with r1 > 0"):
+            call()
+
+
+def test_rate_grows_without_bound_as_epsilon_shrinks():
+    # The paper's Gaussian headline, DI capacity infinite whatever the noise, at n = 3:
+    # each saturated packing reaches the certified count 2^(n * rate), covers the ball
+    # by the rule of gauss-saturation-count (one-sided 95 % Clopper-Pearson bound on the
+    # uncovered fraction <= 1e-3), and log2(L)/n climbs with log2(1/eps) at a slope near
+    # 1/2 (0.53 measured: L = 32, 316 and 2 599). A packing whose separation ignored eps
+    # would stay near L = 32.
+    from scipy.stats import beta
+
+    epsilons = np.array([0.04, 0.01, 0.0025])
+    rates = []
+    for eps in epsilons:
+        _, cert = build_gauss_codebook(GaussChannel(1.0, 1.0), n=3, epsilon=eps, delta=eps / 3, seed=7,
+                                       probe_budget=30_000, probe_trials=4096)
+        assert cert.saturated_at_tolerance
+        assert cert.center_count >= packing_lower_bound(1.0, eps, 3)
+        uncovered = cert.probe_trials - cert.probe_covered
+        assert float(beta.ppf(0.95, uncovered + 1, cert.probe_covered)) <= 1e-3
+        rates.append(math.log2(cert.center_count) / 3)
+    assert np.polyfit(np.log2(1.0 / epsilons), rates, 1)[0] >= 0.4
 
 
 def test_packing_lower_bound_trivial_for_large_epsilon():
@@ -528,6 +578,37 @@ def test_gauss_codebook_validation():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="violates the power constraint"):
             GaussCodebook(channel=ch, centers=np.array([[bad, 0.1], [0.3, 0.2]]), epsilon=0.1, delta=0.1)
+
+
+def test_codebook_refuses_a_center_whose_codeword_transmit_gauss_refuses():
+    # ||u||^2 = 1 + 5e-10 passed the old normalized test ||u||^2 <= P + 1e-9, but at
+    # n = 100 its codeword's energy 100.00000005 is above the budget 100 + 1e-9.
+    ch = GaussChannel(1.0, 1.0)
+    u = np.zeros((1, 100))
+    u[0, 0] = math.sqrt(1.0 + 5e-10)
+    with pytest.raises(ValueError, match="exceeds the power budget"):
+        transmit_gauss(ch, math.sqrt(100) * u[0], np.random.default_rng(0))
+    with pytest.raises(ValueError, match="violates the power constraint"):
+        GaussCodebook(channel=ch, centers=u, epsilon=0.01, delta=0.1)
+
+
+@given(st.integers(1, 299), st.sampled_from([0.3, 1.0, 2.0, 7.7, 1000.0]), st.integers(0, 2**32 - 1),
+       st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4))
+def test_every_accepted_codeword_can_be_transmitted(n, power, seed, offsets):
+    # Centers within a few 1e-9 of the codeword budget n * P: whatever GaussCodebook
+    # accepts, transmit_gauss must accept too (one budget rule, one energy arithmetic).
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((len(offsets), n))
+    squared = power * (1.0 + np.array(offsets) * 1e-9 / (n * power))
+    centers = g / np.linalg.norm(g, axis=1, keepdims=True) * np.sqrt(squared)[:, None]
+    ch = GaussChannel(1.0, power)
+    try:
+        cb = GaussCodebook(channel=ch, centers=centers, epsilon=power / 4, delta=0.1)
+    except ValueError as err:
+        assert "violates the power constraint" in str(err)
+        return
+    for j in range(cb.center_count):
+        transmit_gauss(ch, cb.codeword(j), rng)
 
 
 @pytest.mark.parametrize("a, b", [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
