@@ -196,8 +196,8 @@ def _compositions(n: int, parts: int):
 def converse_count(channel: Dmc, n: int, type_budget: int = DEFAULT_TYPE_BUDGET) -> tuple[int, float]:
     """Exact number of cost-feasible words of length n, and its capacity bound.
 
-    Counts over the reduced alphabet by summing multinomial class sizes over
-    feasible types (a DP over the composition tree). Returns
+    Counts over the reduced alphabet by enumerating every composition of n
+    and summing the multinomial class sizes of the feasible ones. Returns
     (exact_count, bound_log2) where bound_log2 = n*(C + k*log2(n+1)/n); the
     log2 of the exact count never exceeds the bound.
     """

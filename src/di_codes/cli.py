@@ -38,9 +38,9 @@ from .capacity import bsc_capacity_curve, di_capacity, entropy_bits
 from .channels import Dmc, GaussChannel, bsc, dmc_from_dict, dmc_to_dict, reduce_channel
 from .discretize import gaussian_differential_entropy, to_dmc
 from .dmc_code import (
+    _codebook_fields,
     build_codebook,
     codebook_from_dict,
-    codebook_to_dict,
     simulate_errors,
     validate_codebook,
 )
@@ -232,7 +232,7 @@ def _cmd_codebook_dmc(parser: _Parser, args: argparse.Namespace) -> int:
         cost_margin=args.cost_margin,
     )
     report_dict = report.to_dict()
-    record = {**codebook_to_dict(codebook), "words": codebook.words}  # the array, written in one lookup
+    record = {**_codebook_fields(codebook), "words": codebook.words}  # the array, written in one lookup
     payload = {"report": report_dict, "validation": validate_codebook(codebook)}
     if args.output:
         _write_json(args.output, {"codebook": record, "report": report_dict})

@@ -44,11 +44,17 @@ def _positive(**values: float) -> None:
             raise ValueError(f"{name} must be positive and finite")
 
 
+def _half_width(j: int, name: str = "J") -> int:
+    """The half-width J as an int if a whole number at least 1; else (0.5, 0, -3, NaN, inf) ValueError."""
+    if not (isinstance(j, (int, float, np.integer, np.floating)) and j >= 1 and j % 1 == 0):
+        raise ValueError(f"{name} must be a whole number at least 1")
+    return int(j)
+
+
 def lattice(step: float, j: int) -> np.ndarray:
     """The 2J+1 lattice values -J*step .. J*step in increasing order."""
     _positive(step=step)
-    if j < 1:
-        raise ValueError("J must be at least 1")
+    j = _half_width(j)
     return step * np.arange(-j, j + 1, dtype=np.float64)
 
 
@@ -59,9 +65,7 @@ def discretize_value(x: float, step: float, j: int) -> float:
     negative value, clip low.
     """
     _positive(step=step)
-    if j < 1:
-        raise ValueError("J must be at least 1")
-    hi = j * step
+    hi = _half_width(j) * step
     if x >= hi:
         return hi
     if x <= -hi:
@@ -102,7 +106,7 @@ def _cell_probabilities(mean: float, sd: float, step: float, j: int) -> np.ndarr
 def input_pmf(power: float, step: float, j: int) -> np.ndarray:
     """pmf of the quantized input discretize(X) for X ~ N(0, power)."""
     _positive(power=power, step=step)
-    return _cell_probabilities(0.0, math.sqrt(power), step, j)
+    return _cell_probabilities(0.0, math.sqrt(power), step, _half_width(j))
 
 
 def discretized_entropy(power: float, step: float, j: int) -> float:
@@ -152,7 +156,7 @@ def default_output_j(input_j: int, sigma2: float, step: float) -> int:
     cells = 4.0 * math.sqrt(sigma2) / step
     if not math.isfinite(cells):
         raise BudgetError(f"memory budget of {_MAX_BUILD_BYTES} bytes exceeded: step {step:g} needs {cells} output cells")
-    return input_j + int(math.ceil(cells))
+    return _half_width(input_j, "input_j") + int(math.ceil(cells))
 
 
 def to_dmc(
@@ -171,8 +175,8 @@ def to_dmc(
     closest rows, including the saturating extremes) otherwise.
     """
     _positive(sigma2=sigma2, power=power, step=step)
-    if output_j is None:
-        output_j = default_output_j(input_j, sigma2, step)
+    input_j = _half_width(input_j, "input_j")
+    output_j = default_output_j(input_j, sigma2, step) if output_j is None else _half_width(output_j, "output_j")
     if output_j < input_j:
         raise ValueError("output lattice must be at least as wide as the input lattice")
     need = 32 * (2 * input_j + 1) * (2 * output_j + 1)  # four float64 copies of the matrix at the peak

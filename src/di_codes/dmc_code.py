@@ -474,15 +474,19 @@ def validate_codebook(codebook: DmcCodebook) -> dict:
     }
 
 
-def codebook_to_dict(codebook: DmcCodebook) -> dict:
+def _codebook_fields(codebook: DmcCodebook) -> dict:
+    """codebook_to_dict without the words, for a writer that takes the array."""
     return {
         "channel": dmc_to_dict(codebook.channel),
         "epsilon": codebook.epsilon,
         "delta": codebook.delta,
         "rate": codebook.rate,
         "base_counts": list(codebook.base.counts) if codebook.base else None,
-        "words": codebook.words.tolist(),
     }
+
+
+def codebook_to_dict(codebook: DmcCodebook) -> dict:
+    return {**_codebook_fields(codebook), "words": codebook.words.tolist()}
 
 
 def codebook_from_dict(data: dict) -> DmcCodebook:

@@ -21,9 +21,9 @@ two stages (see _covered): a (1+eps)-approximate nearest-neighbour query
 only the rest take the exact query, so every decision is the exact one.
 
 One cover query serves a whole group of candidate batches (see _GROUP_CAP),
-yet every decision is a candidate-by-candidate scan's: the tree of the
-group's start only leaves more survivors to the dense checks, which cover
-every center it lacks with the scan's own arithmetic; batches drawn past the
+yet every decision is a candidate-by-candidate scan's, in two tiers: the tree
+rejects what it covers, and each survivor is checked one by one against every
+center the tree lacks, with the scan's own arithmetic; batches drawn past the
 stop are discarded. Large tree queries run on DI_CODES_THREADS workers, and
 results do not depend on their number. Each codebook builds one tree, shared
 by the probe pass, min_center_distance and the simulator's closest pair.
@@ -68,8 +68,8 @@ _GROUP_CAP = 32
 
 # Scalars in one probe block (its size fixes which probes are drawn, normals
 # then uniforms per block, so it must not change), in a group buffer at most
-# (at large n one batch is already a large query) and in a dense-check block.
-_PROBE_SCALARS, _GROUP_SCALARS, _DENSE_SCALARS = 2**22, 2**20, 2**17
+# (at large n one batch is already a large query) and in one norm slice.
+_PROBE_SCALARS, _GROUP_SCALARS, _NORM_SCALARS = 2**22, 2**20, 2**17
 
 # Tree queries of fewer rows lose more to starting threads than they gain.
 _THREADED_ROWS = 8 * _BATCH
@@ -216,9 +216,9 @@ def packing_lower_bound(power: float, epsilon: float, n: int) -> float:
 
 def _sample_ball(rng: np.random.Generator, count: int, n: int, radius: float, out=None) -> np.ndarray:
     """i.i.d. uniform points in the n-ball, into ``out`` if given: Gaussian direction
-    (its norms taken over row slices of about _DENSE_SCALARS), radial U^(1/n)."""
+    (its norms taken over row slices of about _NORM_SCALARS), radial U^(1/n)."""
     g = rng.standard_normal((count, n), out=out)
-    norms = np.sqrt(np.concatenate([(b * b).sum(axis=1) for b in np.array_split(g, 1 + g.size // _DENSE_SCALARS)]))
+    norms = np.sqrt(np.concatenate([(b * b).sum(axis=1) for b in np.array_split(g, 1 + g.size // _NORM_SCALARS)]))
     norms[norms == 0.0] = 1.0
     u = rng.random(count)
     g *= (radius * u ** (1.0 / n) / norms)[:, None]
@@ -229,18 +229,6 @@ def _query(tree: scipy.spatial.cKDTree, points: np.ndarray, **kwargs):
     """``tree.query``, threaded when ``points`` has enough rows to gain."""
     workers = worker_count() if len(points) >= _THREADED_ROWS else 1
     return tree.query(points, workers=workers, **kwargs)
-
-
-def _clear_of(centers: np.ndarray, points: np.ndarray, min_d2: float) -> np.ndarray:
-    """Mask of the points at squared distance >= min_d2 from every center,
-    with the candidate loop's arithmetic, in blocks of bounded size."""
-    clear = np.ones(len(points), dtype=bool)
-    if len(centers):
-        step = max(1, _DENSE_SCALARS // centers.size)
-        for i in range(0, len(points), step):
-            diff = centers - points[i:i + step, None]
-            clear[i:i + step] = (diff * diff).sum(axis=-1).min(axis=1) >= min_d2
-    return clear
 
 
 def _covered(tree: scipy.spatial.cKDTree, points: np.ndarray, radius: float) -> np.ndarray:
@@ -319,15 +307,13 @@ def build_gauss_codebook(
         batches = min(2 * batches, cap)
         survivors = (np.arange(len(cand)) if tree is None
                      else np.flatnonzero(~_covered(tree, cand, min_d)))
-        survivors = survivors[_clear_of(kept_buf[tree_count:kept_count], cand[survivors], min_d2)]
-        # Only candidates clearing the tree and the pending block are checked
-        # one by one, against the centers accepted earlier in the group; the
-        # rejected runs between them (a candidate failing that check opens
-        # the next run) advance the counters arithmetically, as a scan would.
-        # Rebuilding the tree after every acceptance would swamp the run, so
-        # accepts pile up in the pending block until a group ends with it
-        # large enough to fold in.
-        group_start = kept_count
+        # Only candidates clearing the tree are checked one by one, against
+        # every center the tree lacks (the pending block, this group's
+        # accepts included); the rejected runs between them (a candidate
+        # failing that check opens the next run) advance the counters
+        # arithmetically, as a scan would. Rebuilding the tree after every
+        # acceptance would swamp the run, so accepts pile up in the pending
+        # block until a group ends with it large enough to fold in.
         pos = 0
         for s in survivors.tolist() + [len(cand)]:  # the sentinel ends the last run
             run = s - pos
@@ -341,8 +327,8 @@ def build_gauss_codebook(
             pos = s
             if s == len(cand):
                 break
-            if kept_count > group_start:
-                diff = kept_buf[group_start:kept_count] - cand[s]
+            if kept_count > tree_count:
+                diff = kept_buf[tree_count:kept_count] - cand[s]
                 if float((diff * diff).sum(axis=1).min()) < min_d2:
                     continue
             if kept_count == kept_buf.shape[0]:

@@ -114,7 +114,7 @@ def _as_word(seq: Sequence[int] | np.ndarray, alphabet_size: int, name: str, ndi
     raw = np.asarray(seq)
     with np.errstate(invalid="ignore"):  # NaN and inf cast to garbage, refused below
         word = raw.astype(np.int64, copy=False) if raw.dtype.kind in "biuf" else None
-    if word is None or word.ndim != ndim or not (word == raw).all():
+    if word is None or word.ndim != ndim or not (np.can_cast(raw.dtype, np.int64) or (word == raw).all()):
         raise ValueError(f"{name} must be a {('one', 'two')[ndim - 1]}-dimensional array of integer letters")
     if word.size and (word.min() < 0 or word.max() >= alphabet_size):
         raise ValueError(f"{name} contains a letter outside [0, {alphabet_size})")

@@ -56,6 +56,49 @@ def test_lattice_layout():
         lattice(0.5, 0)
 
 
+# One rule for the half-width J: a whole number at least 1. Fractions once
+# built off-lattice points (lattice(0.5, 1.5) gave +-0.25, +-0.75) and pmfs
+# of the wrong length; 0 and negatives gave input_pmf [1.0].
+BAD_J = [1.5, 0, -3, 0.0, math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("j", BAD_J)
+@pytest.mark.parametrize("call", [
+    lambda j: lattice(0.5, j),
+    lambda j: discretize_value(10.0, 0.5, j),
+    lambda j: input_pmf(1.0, 0.5, j),
+    lambda j: discretized_entropy(1.0, 0.5, j),
+    lambda j: entropy_defect(1.0, 0.5, j),
+], ids=["lattice", "discretize_value", "input_pmf", "discretized_entropy", "entropy_defect"])
+def test_half_width_refuses_all_but_whole_numbers_at_least_one(call, j):
+    with pytest.raises(ValueError, match="J must be a whole number at least 1"):
+        call(j)
+
+
+@pytest.mark.parametrize("j", BAD_J + [2.5, 3.5])
+def test_to_dmc_refuses_a_fractional_or_non_positive_half_width(j):
+    # input_j=2.5 once built 6 letters at +-0.25, +-0.75, +-1.25 with output_j
+    # 10.5, and output_j=3.5 nine output cells shifted by half a step
+    with pytest.raises(ValueError, match="input_j must be a whole number at least 1"):
+        to_dmc(sigma2=1.0, power=1.0, step=0.5, input_j=j)
+    with pytest.raises(ValueError, match="input_j must be a whole number at least 1"):
+        default_output_j(j, 1.0, 0.5)
+    with pytest.raises(ValueError, match="output_j must be a whole number at least 1"):
+        to_dmc(sigma2=1.0, power=1.0, step=0.5, input_j=2, output_j=j)
+
+
+@pytest.mark.parametrize("j", [np.int32(3), np.int64(3), np.uint8(3), 3.0, np.float32(3.0)])
+def test_half_width_takes_numpy_ints_and_integral_floats(j):
+    assert lattice(0.5, j).tobytes() == lattice(0.5, 3).tobytes()
+    assert discretize_value(10.0, 0.5, j) == discretize_value(10.0, 0.5, 3) == 1.5
+    assert input_pmf(1.0, 0.5, j).tobytes() == input_pmf(1.0, 0.5, 3).tobytes()
+    assert default_output_j(j, 1.0, 0.5) == default_output_j(3, 1.0, 0.5)
+    dc, ref = to_dmc(1.0, 1.0, 0.5, j, output_j=j + 5), to_dmc(1.0, 1.0, 0.5, 3, output_j=8)
+    assert (dc.input_j, dc.output_j) == (3, 8) and type(dc.input_j) is int
+    assert dc.channel.matrix.tobytes() == ref.channel.matrix.tobytes()
+    assert dc.input_probabilities.tobytes() == ref.input_probabilities.tobytes()
+
+
 # --- cell masses ---
 
 

@@ -232,7 +232,7 @@ def test_center_cap_stops_early():
     assert np.array_equal(cb.centers, full.centers[:3])
 
 
-def _greedy_dense_reference(n, epsilon, probe_budget, seed, probe_trials):
+def _greedy_dense_reference(n, epsilon, probe_budget, seed, probe_trials, max_centers=None):
     """Candidate-by-candidate greedy packing against every kept center, with
     the construction's candidate and probe streams; no tree involved."""
     r0, r1 = packing_radii(1.0, epsilon)
@@ -241,7 +241,7 @@ def _greedy_dense_reference(n, epsilon, probe_budget, seed, probe_trials):
     rng = np.random.default_rng(cand_stream)
     kept = np.empty((0, n))
     rejections = processed = 0
-    while rejections < probe_budget:
+    while rejections < probe_budget and len(kept) != max_centers:
         for x in _sample_ball(rng, _BATCH, n, r1):
             processed += 1
             if kept.size and float(((kept - x) ** 2).sum(axis=1).min()) < min_d2:
@@ -251,6 +251,8 @@ def _greedy_dense_reference(n, epsilon, probe_budget, seed, probe_trials):
             else:
                 kept = np.vstack([kept, x])
                 rejections = 0
+                if len(kept) == max_centers:
+                    break
     centers = kept
     probes = _sample_ball(np.random.default_rng(probe_stream), probe_trials, n, r1)
     d2 = ((probes[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
@@ -258,25 +260,37 @@ def _greedy_dense_reference(n, epsilon, probe_budget, seed, probe_trials):
     return centers, processed, covered
 
 
-@pytest.mark.parametrize("workers", ["1", "2"], ids=["1-worker", "2-workers"])
-@pytest.mark.parametrize("group_cap", [None, 2], ids=["groups", "groups-of-2"])
-def test_tree_cover_test_matches_dense_greedy_scan(monkeypatch, workers, group_cap):
+@pytest.mark.parametrize("workers, group_cap, pending_limit, max_centers", [
+    ("1", None, None, None), ("2", None, None, None), ("1", 2, None, None), ("2", 2, None, None),
+    ("1", None, 1, None), ("1", None, 10**9, 1200),
+], ids=["groups-1-worker", "groups-2-workers", "groups-of-2-1-worker", "groups-of-2-2-workers",
+        "tree-after-every-accepting-group", "no-tree"])
+def test_tree_cover_test_matches_dense_greedy_scan(monkeypatch, workers, group_cap, pending_limit, max_centers):
     # enough centers for two tree rebuilds, so most decisions go through the
     # k-d tree's cover test rather than the pending dense scan; with the
-    # group cap at 2, rebuilds fall at group ends and the stop inside a group
+    # group cap at 2, rebuilds fall at group ends and the stop inside a group.
+    # The pending limit's extremes: a tree after every group that accepts, and
+    # no tree at all, every decision dense (capped, or it would take minutes).
     monkeypatch.setenv("DI_CODES_THREADS", workers)
     if group_cap is not None:
         monkeypatch.setattr(gauss_code, "_GROUP_CAP", group_cap)
+    if pending_limit is not None:
+        monkeypatch.setattr(gauss_code, "_PENDING_LIMIT", pending_limit)
+    trees = []
+    monkeypatch.setattr(gauss_code, "cKDTree", lambda data: trees.append(len(data)) or cKDTree(data))
     n, epsilon, budget, seed, trials = 4, 0.01, 2000, 7, 500
     cb, cert = build_gauss_codebook(
         GaussChannel(1.0, 1.0), n=n, epsilon=epsilon, delta=0.1, seed=seed,
-        probe_budget=budget, probe_trials=trials,
+        probe_budget=budget, probe_trials=trials, max_centers=max_centers,
     )
     assert cb.center_count > 2 * _PENDING_LIMIT
-    centers, processed, covered = _greedy_dense_reference(n, epsilon, budget, seed, trials)
+    loop_trees = trees[:-1]  # the last tree is the probe pass's, over the codebook
+    assert trees[-1] == cb.center_count and loop_trees == sorted(set(loop_trees))
+    assert len(loop_trees) == (0 if max_centers else 6 if pending_limit == 1 else 2)
+    centers, processed, covered = _greedy_dense_reference(n, epsilon, budget, seed, trials, max_centers)
     assert np.array_equal(cb.centers, centers)
-    assert cert.stop_reason == "saturation"
-    assert cert.consecutive_rejections == budget
+    assert cert.stop_reason == ("center_cap" if max_centers else "saturation")
+    assert cert.consecutive_rejections == (0 if max_centers else budget)
     assert cert.candidates_processed == processed
     assert cert.probe_covered == covered
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from di_codes import (
     BudgetError,
@@ -533,6 +534,64 @@ def test_as_word_takes_integral_letters_and_refuses_the_rest(kind, ndim, rows, c
         if not isinstance(bad, str):
             with pytest.raises(ValueError, match="w must be a .* array of integer letters"):
                 typicality._as_word(spoiled.astype(float), 5, "w", ndim)
+
+
+def _as_word_compare_everything(seq, alphabet_size, name, ndim):
+    """The letter rule with no shortcut: compare every element with its int64
+    cast whatever the dtype, then check the range."""
+    raw = np.asarray(seq)
+    with np.errstate(invalid="ignore"):
+        word = raw.astype(np.int64, copy=False) if raw.dtype.kind in "biuf" else None
+    if word is None or word.ndim != ndim or not (word == raw).all():
+        raise ValueError(f"{name} must be a {('one', 'two')[ndim - 1]}-dimensional array of integer letters")
+    if word.size and (word.min() < 0 or word.max() >= alphabet_size):
+        raise ValueError(f"{name} contains a letter outside [0, {alphabet_size})")
+    return word
+
+
+_ODD = [0.5, 2.5, -0.5, -1.0, math.nan, math.inf, -math.inf, 2.0**63, 1e30, -1, 2**63, 2**64 - 1, -2**63]
+
+
+def _fits(v, dtype):
+    """Whether the dtype holds v exactly."""
+    if dtype.kind == "f":
+        return isinstance(v, float) and (not math.isfinite(v) or abs(v) <= float(np.finfo(dtype).max) and dtype.type(v) == v)
+    return dtype.kind in "iu" and isinstance(v, int) and np.iinfo(dtype).min <= v <= np.iinfo(dtype).max
+
+
+@st.composite
+def _typed_arrays(draw):
+    """Arrays of every bool, int, uint and float width: letters, odd values the
+    dtype holds (NaN, +-inf, fractions, negatives, values at or past 2**63)
+    and any other value of the dtype."""
+    dtype = np.dtype(draw(st.sampled_from(["bool", "int8", "int16", "int32", "int64", "uint8", "uint16",
+                                           "uint32", "uint64", "float16", "float32", "float64"])))
+    letters = st.integers(0, 1 if dtype == bool else 5)
+    odd = [v for v in _ODD if _fits(v, dtype)]
+    elements = st.one_of(letters, st.sampled_from(odd), hnp.from_dtype(dtype)) if odd else letters
+    shape = draw(hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=5))
+    return draw(hnp.arrays(dtype, shape, elements=elements))
+
+
+@given(raw=_typed_arrays(), ndim=st.sampled_from([1, 2]), alphabet_size=st.sampled_from([1, 4, math.inf]))
+@example(raw=np.array([0.0, 0.5]), ndim=1, alphabet_size=4)
+@example(raw=np.array([[1.0, 2.0**63]]), ndim=2, alphabet_size=math.inf)
+@example(raw=np.array([1, 2**63], dtype=np.uint64), ndim=1, alphabet_size=math.inf)
+@example(raw=np.array([np.nan, np.inf], dtype=np.float32), ndim=1, alphabet_size=4)
+@example(raw=np.array([-np.inf, 1.5], dtype=np.float16), ndim=1, alphabet_size=4)
+def test_as_word_skips_only_comparisons_that_cannot_fail(raw, ndim, alphabet_size):
+    # Casts that cannot change a value (bool, ints up to int64, uints up to
+    # uint32) skip the element-by-element comparison; every dtype must still
+    # be taken or refused as the compare-everything rule would, with its message.
+    try:
+        expected = _as_word_compare_everything(raw, alphabet_size, "w", ndim)
+    except ValueError as refusal:
+        with pytest.raises(ValueError) as got:
+            typicality._as_word(raw, alphabet_size, "w", ndim)
+        assert str(got.value) == str(refusal)
+    else:
+        word = typicality._as_word(raw, alphabet_size, "w", ndim)
+        assert word.dtype == np.int64 and word.tobytes() == expected.tobytes() and word.shape == expected.shape
 
 
 def test_fractional_letters_are_refused_not_truncated():
