@@ -256,7 +256,8 @@ def dmc_to_dict(channel: Dmc) -> dict:
 
 def dmc_from_dict(data: dict) -> Dmc:
     matrix = np.asarray(data["matrix"], dtype=float)
-    if matrix.shape != tuple(_as_word([data["input_size"], data["output_size"]], math.inf, "input_size/output_size")):
+    sizes = _as_word([data["input_size"], data["output_size"]], math.inf, "input_size/output_size", unit="size")
+    if matrix.shape != tuple(sizes):
         raise ValueError("matrix shape disagrees with input_size/output_size")
     return Dmc(matrix=matrix, cost=np.asarray(data["cost"], dtype=float), constraint=float(data["constraint"]))
 

@@ -28,6 +28,7 @@ import json
 import math
 import sys
 from datetime import datetime, timezone
+from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -59,6 +60,7 @@ from .stats import DEFAULT_PAIR_BUDGET
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_BUDGET = 2
+_GRAMS = 4096  # entries at most in the table of k-letter groups that writes an integer array
 
 
 class _Parser(argparse.ArgumentParser):
@@ -69,38 +71,39 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_FAILURE, f"{self.prog}: error: {message}\n")
 
 
-class _Json(str):
-    """An int's repr from an integer array's lookup table (see ``_json_chunks``)."""
-
-
 def _json_chunks(obj, indent: str = ""):
     """Yield the text ``json.dump(obj, fh, indent=2)`` writes, in chunks.
 
     Arrays are written as lists; numpy scalars as Python numbers; non-finite
     floats as the strings "inf", "-inf" and "nan", since strict JSON has no
-    Infinity. A list of only exact ints, or of only finite floats, is written
-    in one chunk with the reprs ``json`` itself uses; any other list goes item
-    by item; an integer array spanning no more values than it has entries
-    takes the reprs from one lookup table of that span. Strings, bools, None
-    and dict keys are left to ``json``.
+    Infinity. A non-empty 2-D integer array spanning q <= _GRAMS values is one
+    chunk, its k-letter groups (k the largest divisor of the row length with
+    q**k <= _GRAMS) looked up in a table of their joined reprs. A list of only
+    exact ints, or of only finite floats, is one chunk with ``json``'s reprs;
+    other lists go item by item; strings, bools, None and dict keys go to ``json``.
     """
-    if isinstance(obj, np.ndarray):
-        if obj.ndim and obj.size and obj.dtype.kind in "iu":
-            lo, hi = int(obj.min()), int(obj.max())
-            if hi - lo < obj.size:
-                table = np.array([_Json(v) for v in range(lo, hi + 1)], dtype=object)
-                # In 64 bits of the array's own signedness obj - lo, in [0, size), is exact.
-                obj = table[np.subtract(obj, lo, dtype=obj.dtype.kind + "8")]
-        obj = obj.tolist()
     inner = indent + "  "
+    if isinstance(obj, np.ndarray):
+        if (obj.ndim == 2 and obj.size and obj.dtype.kind in "iu"
+                and (hi := int(obj.max())) - (lo := int(obj.min())) < _GRAMS):
+            (m, n), q, sep = obj.shape, hi - lo + 1, ",\n" + inner + "  "
+            k = max(d for d in range(1, n + 1) if n % d == 0 and q**d <= _GRAMS)
+            table = np.array([sep.join(g) for g in product(map(str, range(lo, hi + 1)), repeat=k)], dtype=object)
+            # obj - lo, in [0, q), is exact in 64 bits of obj's signedness; as int64 the product stays integral.
+            obj = np.subtract(obj, lo, dtype=obj.dtype.kind + "8").astype(np.int64, copy=False)
+            obj = table[obj.reshape(m, n // k, k) @ q ** np.arange(k - 1, -1, -1)].tolist()  # frees the offsets
+            gap = f"\n{inner}],\n{inner}[{sep[1:]}"  # between rows
+            yield f"[\n{inner}[{sep[1:]}{gap.join(map(sep.join, obj))}\n{inner}]\n{indent}]"
+            return
+        obj = obj.tolist()
     if isinstance(obj, dict):
         # json's own key conversion and escaping: '{KEY: null}'[1:-7]
         items = [(json.dumps({k: None})[1:-7] + ": ", v) for k, v in obj.items()]
         brackets = "{}"
     elif isinstance(obj, (list, tuple)):
-        types = {_Json} if obj and type(obj[0]) is _Json else set(map(type, obj))  # an array row: all _Json
-        if types == {_Json} or types == {int} or (types == {float} and all(map(math.isfinite, obj))):
-            text = obj if types == {_Json} else map(int.__repr__ if types == {int} else float.__repr__, obj)
+        types = set(map(type, obj))
+        if types == {int} or (types == {float} and all(map(math.isfinite, obj))):
+            text = map(int.__repr__ if types == {int} else float.__repr__, obj)
             yield "[\n" + inner + (",\n" + inner).join(text) + "\n" + indent + "]"
             return
         items = [("", v) for v in obj]
@@ -232,7 +235,7 @@ def _cmd_codebook_dmc(parser: _Parser, args: argparse.Namespace) -> int:
         cost_margin=args.cost_margin,
     )
     report_dict = report.to_dict()
-    record = {**_codebook_fields(codebook), "words": codebook.words}  # the array, written in one lookup
+    record = {**_codebook_fields(codebook), "words": codebook.words}  # the array, written as one chunk
     payload = {"report": report_dict, "validation": validate_codebook(codebook)}
     if args.output:
         _write_json(args.output, {"codebook": record, "report": report_dict})

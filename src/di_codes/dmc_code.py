@@ -37,6 +37,7 @@ from .typicality import (
     _aligned,
     _as_word,
     _conditional_targets,
+    _distance_dtype,
     _hamming_blocks,
     _typical_rows,
     apportion_counts,
@@ -174,8 +175,8 @@ def _scan(words: np.ndarray, separation: int, letters: np.ndarray, greedy: bool)
     Then the block's kept rows lower low[k] and arg[k]: the least distance
     from a kept word to word k, and the first kept word at it.
     """
-    m = len(words)
-    near, low, arg = np.full(m, np.inf), np.full(m, np.inf), np.zeros(m, dtype=np.int64)
+    m, acc = len(words), _distance_dtype(words.shape[1])  # the distances' own dtype, in which they are exact
+    near, low, arg = np.full(m, np.inf, acc), np.full(m, np.inf, acc), np.zeros(m, dtype=np.int64)
     rows = max(1, _SCAN_BYTES // (8 * max(1, m)))
     for s in range(0, m, rows):
         tail = words[s:]
@@ -493,7 +494,7 @@ def codebook_from_dict(data: dict) -> DmcCodebook:
     channel = dmc_from_dict(data["channel"])
     base = None
     if data.get("base_counts") is not None:
-        counts = tuple(_as_word(data["base_counts"], math.inf, "base_counts").tolist())
+        counts = tuple(_as_word(data["base_counts"], math.inf, "base_counts", unit="count").tolist())
         base = EmpiricalType(counts, sum(counts))  # DmcCodebook checks its length against the words
     return DmcCodebook(
         channel=channel,

@@ -107,17 +107,18 @@ class TypicalityParams:
             raise ValueError("delta must be a nonnegative finite number")
 
 
-def _as_word(seq: Sequence[int] | np.ndarray, alphabet_size: int, name: str, ndim: int = 1) -> np.ndarray:
+def _as_word(seq: Sequence[int] | np.ndarray, alphabet_size: int, name: str, ndim: int = 1,
+             unit: str = "letter") -> np.ndarray:
     """``seq`` as an int64 word (``ndim`` 1) or word array (``ndim`` 2) over the letters 0..alphabet_size-1.
-    A letter is a bool, an integer or an integral float: a value the int64 cast would change
-    (0.9, NaN, inf) or no number at all ("1") raises ValueError naming ``name``."""
+    A letter is a bool, an integer or an integral float: a value the int64 cast would change (0.9, NaN,
+    inf) or no number at all ("1") raises ValueError naming ``name`` and calling an entry a ``unit``."""
     raw = np.asarray(seq)
     with np.errstate(invalid="ignore"):  # NaN and inf cast to garbage, refused below
         word = raw.astype(np.int64, copy=False) if raw.dtype.kind in "biuf" else None
     if word is None or word.ndim != ndim or not (np.can_cast(raw.dtype, np.int64) or (word == raw).all()):
-        raise ValueError(f"{name} must be a {('one', 'two')[ndim - 1]}-dimensional array of integer letters")
+        raise ValueError(f"{name} must be a {('one', 'two')[ndim - 1]}-dimensional array of integer {unit}s")
     if word.size and (word.min() < 0 or word.max() >= alphabet_size):
-        raise ValueError(f"{name} contains a letter outside [0, {alphabet_size})")
+        raise ValueError(f"{name} contains a {unit} outside [0, {alphabet_size})")
     return word
 
 
@@ -252,6 +253,11 @@ def sample_type_class(et: EmpiricalType, count: int, rng: np.random.Generator) -
     return words
 
 
+def _distance_dtype(n: int) -> type:
+    """float32 below n = 2**24 positions, else float64: every Hamming distance and partial sum is then exact."""
+    return np.float32 if n < _EXACT_FLOAT32 else np.float64
+
+
 def _encode(words: np.ndarray, letters: np.ndarray) -> np.ndarray:
     """float32 columns whose products count agreements; see ``pairwise_hamming``."""
     m, n = words.shape
@@ -266,7 +272,6 @@ def _hamming_blocks(a: np.ndarray, b: np.ndarray, letters: np.ndarray) -> np.nda
     n = a.shape[1]
     width = 1 if len(letters) == 2 else len(letters)  # columns a position
     cols = max(1, min(n, _EXACT_FLOAT32 - 1, _ONE_HOT_BYTES // (4 * max(1, width * len(a), width * len(b)))))
-    acc = np.float32 if n < _EXACT_FLOAT32 else np.float64  # exact for every partial distance
     dist = None
     for start in range(0, max(n, 1), cols):  # one empty block when n = 0
         ha = _encode(a[:, start:start + cols], letters)
@@ -275,7 +280,7 @@ def _hamming_blocks(a: np.ndarray, b: np.ndarray, letters: np.ndarray) -> np.nda
         np.subtract(min(cols, n - start), block, out=block)  # c positions minus the agreements, or minus S
         if len(letters) == 2:
             block *= 0.5  # (c - S) / 2
-        dist = block.astype(acc, copy=False) if dist is None else np.add(dist, block, out=dist)
+        dist = block.astype(_distance_dtype(n), copy=False) if dist is None else np.add(dist, block, out=dist)
     return dist
 
 

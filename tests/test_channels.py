@@ -331,6 +331,13 @@ def test_dmc_from_dict_refuses_fractional_sizes(key, value):
         dmc_from_dict({**data, key: value})
 
 
+def test_dmc_from_dict_calls_a_fractional_size_no_letter():
+    # The sizes go through the letter check; its message used to ask for "integer letters".
+    with pytest.raises(ValueError) as exc:
+        dmc_from_dict({**dmc_to_dict(bsc(0.1)), "input_size": 2.9})
+    assert str(exc.value) == "input_size/output_size must be a one-dimensional array of integer sizes"
+
+
 def test_gauss_round_trip():
     ch = GaussChannel(sigma2=0.25, power=4.0)
     back = gauss_from_dict(gauss_to_dict(ch))

@@ -29,6 +29,7 @@ from di_codes import (
     build_codebook,
     build_gauss_codebook,
     default_output_j,
+    di_capacity,
     discretize,
     discretize_value,
     discretized_entropy,
@@ -40,7 +41,8 @@ from di_codes import (
     lattice,
     to_dmc,
 )
-from di_codes.cli import EXIT_BUDGET, EXIT_FAILURE, EXIT_OK, _json_chunks, main
+from di_codes.cli import EXIT_BUDGET, EXIT_FAILURE, EXIT_OK, _json_chunks, _write_json, main
+from di_codes.dmc_code import _codebook_fields
 
 ENVELOPE_KEYS = {"tool_version", "config", "seed", "timestamp", "payload"}
 
@@ -536,9 +538,9 @@ _arrays = st.one_of(*(
     hnp.arrays(dtype, hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=4), elements=elements)
     for dtype, elements in [(np.int64, None), (np.float64, st.floats()), (np.bool_, None)]
 ))
-# Integer arrays of 1-D and 2-D shapes, (0, n) and (m, 0) among them: narrow
-# values, negative ones too, take the lookup of their span; full-range ones
-# span more integers than they have entries and go through tolist().
+# Integer arrays of 1-D and 2-D shapes, (0, n) and (m, 0) among them: 2-D ones
+# of narrow values, negative ones too, take the k-letter lookup of their span;
+# full-range ones span more than 4096 integers and, like 1-D ones, go through tolist().
 _int_arrays = st.one_of(*(
     hnp.arrays(dtype, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=9), elements=elements)
     for dtype in (np.int8, np.int32, np.uint8, np.int64)
@@ -564,25 +566,67 @@ def test_json_chunks_match_json_safe_then_indented_dump(obj):
 
 
 def test_json_chunks_hand_cases():
+    rng = np.random.default_rng(5)
+    nine = rng.integers(0, 9, (4, 200))
+    nine[0, :2] = 0, 8
     cases = [
         {}, [], {"a": []}, [[], {}], {1: [1, 2], "x": (0.5, -0.0)}, [True, 1], [1, 1.0],
         [math.inf, -math.inf, math.nan, 1.0], np.arange(6).reshape(2, 3), np.float32(0.1),
         np.array([[True, False]]), np.array(2.5), {"é\u2603": "snow ☃"}, [np.int64(3), 4],
-        # lookups whose offsets overflow int8 and sit at the ends of uint64 and int64; an int
-        # array beside a list of str; an (m, 0) int array
+        # offsets that overflow int8 and sit at the ends of uint64 and int64; an int array
+        # beside a list of str
         np.arange(-100, 101, dtype=np.int8), np.array([2**64 - 1, 2**64 - 2, 2**64 - 1], dtype=np.uint64),
-        np.array([[-2**63, 1 - 2**63]] * 2), [np.array([1, 2]), ["1", "2"]], np.zeros((3, 0), dtype=np.int8),
+        np.array([[-2**63, 1 - 2**63]] * 2), [np.array([1, 2]), ["1", "2"]],
+        # word arrays: binary rows of 200 letters (k = 10), nine letters (k = 2), a prime row
+        # length (k = 1), spans too wide for k > 1 (100) and for the table (5 000), negative
+        # least values, int8 and uint64 extremes, and the (m, 0) and (0, n) shapes
+        {"codebook": {"words": rng.integers(0, 2, (5, 200))}}, {"words": nine}, rng.integers(0, 2, (3, 199)),
+        rng.integers(0, 100, (3, 200)), np.array([[0, 4999, 7]] * 2), rng.integers(-3, 2, (4, 12)),
+        np.array([[-128, 127]] * 2, dtype=np.int8), np.array([[-128, -127, -127, -128]] * 3, dtype=np.int8),
+        np.array([[2**64 - 1, 2**64 - 2] * 3, [2**64 - 2] * 6], dtype=np.uint64),
+        np.zeros((3, 0), dtype=np.int8), np.zeros((0, 5), dtype=np.int64),
     ]
     for obj in cases:
         assert "".join(_json_chunks(obj)) == json.dumps(_old_json_safe(obj), indent=2)
-    # a row of numbers is one chunk, however long it is, in a list or an integer array
-    def chunks(length):
-        return list(_json_chunks({"words": [[0, 1] * length, [0.5] * length]}))
 
-    def array_chunks(length):
-        return list(_json_chunks({"words": np.tile([0, 1], (2, length))}))
+    # An integer array is one chunk at any row length: '{"words": ', the array, '}'. A list of
+    # number rows stays one chunk a row: '{"words": ', '[', a row, ',', a row, ']', '}'.
+    for length in (1, 500):
+        assert len(list(_json_chunks({"words": np.tile([0, 1], (2, length))}))) == 3
+        assert len(list(_json_chunks({"words": [[0, 1] * length, [0.5] * length]}))) == 7
 
-    assert len(chunks(1)) == len(chunks(500)) == len(array_chunks(1)) == len(array_chunks(500)) == 7
+
+@st.composite
+def _word_arrays(draw):
+    """2-D integer arrays, rows of 1-60 letters spanning 1-20 values, from a negative least value too."""
+    dtype = draw(st.sampled_from([np.int8, np.int64, np.uint8, np.uint64]))
+    lo = draw(st.integers(0 if np.dtype(dtype).kind == "u" else -100, 100))
+    shape = (draw(st.integers(1, 5)), draw(st.integers(1, 60)))
+    return draw(hnp.arrays(dtype, shape, elements=st.integers(lo, lo + draw(st.integers(0, 19)))))
+
+
+@given(words=_word_arrays())
+def test_word_arrays_match_json_safe_then_indented_dump(words):
+    obj = {"codebook": {"words": words, "n": words.shape[1]}}
+    assert "".join(_json_chunks(obj)) == json.dumps(_old_json_safe(obj), indent=2)
+    assert len(list(_json_chunks(words))) == 1
+
+
+def test_writing_the_benchmark_codebook_peaks_under_three_times_its_file(tmp_path):
+    # The record codebook-dmc --output writes for the dmc-build workload's BSC build.
+    channel = bsc(0.1, constraint=0.013)
+    codebook, report = build_codebook(channel, n=200, rate=0.5 * di_capacity(channel).value_bits,
+                                      epsilon=0.01, delta=0.03, seed=1, backoff=0.0)
+    record = {"codebook": {**_codebook_fields(codebook), "words": codebook.words}, "report": report.to_dict()}
+    tracemalloc.start()
+    try:
+        _write_json(tmp_path / "book.json", record)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = (tmp_path / "book.json").stat().st_size
+    assert codebook.words.shape[0] > 900 and size > 2**21
+    assert peak < 3 * size
 
 
 def test_dmc_commands_load_no_scipy(tmp_path):

@@ -669,6 +669,14 @@ def test_fractional_letters_are_refused_not_truncated():
         codebook_from_dict({**data, "base_counts": [5, 4]})
 
 
+def test_a_negative_base_count_is_called_a_count():
+    # The counts go through the letter check; its message used to call -1 "a letter".
+    data = codebook_to_dict(DmcCodebook(channel=bsc(0.1), words=np.zeros((1, 4), int), epsilon=0.0, delta=0.1))
+    with pytest.raises(ValueError) as exc:
+        codebook_from_dict({**data, "base_counts": [-1, 5]})
+    assert str(exc.value) == "base_counts contains a count outside [0, inf)"
+
+
 def test_mean_cost_respects_constraint_across_seeds():
     ch = bsc(0.1, constraint=0.3)
     for seed in range(10):
