@@ -20,6 +20,7 @@ exponent, and the Gaussian packing rate gaussian_rate_bound, from gauss_code.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -163,7 +164,7 @@ def di_capacity(channel: Dmc) -> CapacityResult:
 def bsc_capacity_curve(crossover: float, grid: Sequence[float]) -> list[tuple[float, float]]:
     """Closed-form capacity of the cost-(0,1) BSC at each constraint in ``grid``.
 
-    H2(A) below A = 1/2, then flat at 1 bit; identically zero when the
+    H2(min(A, 1/2)), flat at 1 bit from A = 1/2; identically zero when the
     crossover is 1/2 (the two rows coincide and the channel carries nothing).
     """
     if not 0.0 <= crossover <= 0.5:
@@ -173,31 +174,17 @@ def bsc_capacity_curve(crossover: float, grid: Sequence[float]) -> list[tuple[fl
         a = float(a)
         if not 0.0 <= a <= 1.0:
             raise ValueError("constraint grid values must lie in [0, 1]")
-        if crossover == 0.5:
-            value = 0.0
-        elif a < 0.5:
-            value = binary_entropy(a)
-        else:
-            value = 1.0
-        out.append((a, value))
+        out.append((a, binary_entropy(min(a, 0.5)) if crossover < 0.5 else 0.0))
     return out
-
-
-def _compositions(n: int, parts: int):
-    """Yield all count vectors of length ``parts`` summing to n."""
-    if parts == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in _compositions(n - first, parts - 1):
-            yield (first,) + rest
 
 
 def converse_count(channel: Dmc, n: int, type_budget: int = DEFAULT_TYPE_BUDGET) -> tuple[int, float]:
     """Exact number of cost-feasible words of length n, and its capacity bound.
 
-    Counts over the reduced alphabet by enumerating every composition of n
-    and summing the multinomial class sizes of the feasible ones. Returns
+    Counts over the reduced alphabet of k letters: each choice of k - 1 bars
+    among n + k - 1 slots (stars and bars) is one composition of n, its letter
+    counts the gaps between the bars, and the multinomial class sizes of the
+    cost-feasible ones are summed. Returns
     (exact_count, bound_log2) where bound_log2 = n*(C + k*log2(n+1)/n); the
     log2 of the exact count never exceeds the bound.
     """
@@ -213,7 +200,8 @@ def converse_count(channel: Dmc, n: int, type_budget: int = DEFAULT_TYPE_BUDGET)
     cost = reduced.cost
     ceiling = _budget(n, reduced.constraint)
     total = 0
-    for counts in _compositions(n, k):
+    for bars in itertools.combinations(range(n + k - 1), k - 1):
+        counts = tuple(b - a - 1 for a, b in itertools.pairwise((-1, *bars, n + k - 1)))
         if float(np.dot(counts, cost)) <= ceiling:
             total += type_class_size(EmpiricalType(counts, n))
     cap = max_entropy_pmf(reduced.cost, reduced.constraint).value_bits

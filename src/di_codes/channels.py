@@ -180,7 +180,6 @@ def reduce_channel(channel: Dmc) -> tuple[Dmc, ReductionMap]:
         matrix=mat[reps].copy(),
         cost=cost[list(reps)].copy(),
         constraint=channel.constraint,
-        notes=channel.notes,
     )
     return reduced, ReductionMap(tuple(class_of), tuple(reps))
 

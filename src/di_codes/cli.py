@@ -128,7 +128,11 @@ def _json_chunks(obj, indent: str = ""):
     yield "\n" + indent + brackets[1]
 
 
-def _emit(args: argparse.Namespace, payload: dict, seed: int | None = None) -> None:
+def _emit(args: argparse.Namespace, payload: dict, seed: int | None = None, record: dict | None = None) -> None:
+    """Print ``payload``'s envelope; with --output set, first write ``record`` there, named in payload["output"]."""
+    if record is not None and args.output:
+        _write_json(args.output, record)
+        payload["output"] = args.output
     config = {k: v for k, v in sorted(vars(args).items()) if k != "func" and not k.startswith("_")}
     envelope = {
         "tool_version": __version__,
@@ -197,10 +201,7 @@ def _cmd_reduce(parser: _Parser, args: argparse.Namespace) -> int:
         "class_of": list(rmap.class_of),
         "representative": list(rmap.representative),
     }
-    if args.output:
-        _write_json(args.output, dmc_to_dict(reduced))
-        payload["output"] = args.output
-    _emit(args, payload)
+    _emit(args, payload, record=payload["channel"])
     return EXIT_OK
 
 
@@ -237,12 +238,9 @@ def _cmd_codebook_dmc(parser: _Parser, args: argparse.Namespace) -> int:
     report_dict = report.to_dict()
     record = {**_codebook_fields(codebook), "words": codebook.words}  # the array, written as one chunk
     payload = {"report": report_dict, "validation": validate_codebook(codebook)}
-    if args.output:
-        _write_json(args.output, {"codebook": record, "report": report_dict})
-        payload["output"] = args.output
-    else:
+    if not args.output:
         payload["codebook"] = record
-    _emit(args, payload, seed=args.seed)
+    _emit(args, payload, seed=args.seed, record={"codebook": record, "report": report_dict})
     return EXIT_OK
 
 
@@ -277,13 +275,10 @@ def _cmd_codebook_gauss(parser: _Parser, args: argparse.Namespace) -> int:
         "certificate": certificate_dict,
         "min_center_distance": min_center_distance(codebook),
     }
-    if args.output:
-        _write_json(args.output, {"codebook": gauss_codebook_to_dict(codebook),
-                                  "certificate": certificate_dict})
-        payload["output"] = args.output
-    else:
-        payload["codebook"] = gauss_codebook_to_dict(codebook)
-    _emit(args, payload, seed=args.seed)
+    record = gauss_codebook_to_dict(codebook)
+    if not args.output:
+        payload["codebook"] = record
+    _emit(args, payload, seed=args.seed, record={"codebook": record, "certificate": certificate_dict})
     return EXIT_OK
 
 
@@ -311,10 +306,7 @@ def _cmd_discretize(parser: _Parser, args: argparse.Namespace) -> int:
         "min_row_gap": dc.min_row_gap,
         "constraint": dc.channel.constraint,
     }
-    if args.output:
-        _write_json(args.output, dmc_to_dict(dc.channel))
-        payload["output"] = args.output
-    _emit(args, payload)
+    _emit(args, payload, record=dmc_to_dict(dc.channel) if args.output else None)
     return EXIT_OK
 
 
@@ -334,10 +326,9 @@ def _cmd_verify(parser: _Parser, args: argparse.Namespace) -> int:
         expected = sum(1 for r in results if not r.passed and not r.unexpected_failure)
         passed = sum(r.passed and r.within_limit for r in results)
         summary = f"{passed}/{len(results)} checks passed"
-        if expected:
-            summary += f", {expected} expected failure{'s' if expected > 1 else ''}"
-        if unexpected:
-            summary += f", {len(unexpected)} UNEXPECTED failure{'s' if len(unexpected) > 1 else ''}"
+        for count, kind in ((expected, "expected"), (len(unexpected), "UNEXPECTED")):
+            if count:
+                summary += f", {count} {kind} failure{'s' if count > 1 else ''}"
         print(summary)
     return EXIT_FAILURE if unexpected else EXIT_OK
 

@@ -83,9 +83,8 @@ def _cell_edges(step: float, j: int) -> np.ndarray:
     for k = 1 .. J-1, then [J*step, inf). Closures carry no probability for
     continuous laws, so edges alone determine every cell mass.
     """
-    neg = step * np.arange(-j, 0, dtype=np.float64)
-    pos = step * np.arange(1, j + 1, dtype=np.float64)
-    return np.concatenate(([-np.inf], neg, pos, [np.inf]))
+    grid = lattice(step, j)  # the edges are the lattice without its middle point 0
+    return np.concatenate(([-np.inf], grid[:j], grid[j + 1:], [np.inf]))
 
 
 def _cell_probabilities(mean: float, sd: float, step: float, j: int) -> np.ndarray:

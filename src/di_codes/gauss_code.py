@@ -318,12 +318,11 @@ def build_gauss_codebook(
         for s in survivors.tolist() + [len(cand)]:  # the sentinel ends the last run
             run = s - pos
             if rejections + run >= probe_budget:
-                processed += probe_budget - rejections
+                pos += probe_budget - rejections
                 rejections = probe_budget
                 stop_reason = "saturation"
                 break
             rejections += run
-            processed += run
             pos = s
             if s == len(cand):
                 break
@@ -335,12 +334,12 @@ def build_gauss_codebook(
                 kept_buf = np.resize(kept_buf, (2 * kept_count, n))  # rows past kept_count are written before use
             kept_buf[kept_count] = cand[s]
             kept_count += 1
-            processed += 1
             pos = s + 1
             rejections = 0
             if max_centers is not None and kept_count >= max_centers:
                 stop_reason = "center_cap"
                 break
+        processed += pos  # this group's candidates before the stop position
         if stop_reason is None and kept_count - tree_count >= _PENDING_LIMIT:
             tree = cKDTree(kept_buf[:kept_count])
             tree_count = kept_count

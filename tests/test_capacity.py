@@ -270,6 +270,23 @@ def test_converse_count_unconstrained_is_total():
     ch = bsc(0.1, constraint=1.0)
     count, _ = converse_count(ch, 12)
     assert count == 2**12
+    # bsc(0.5) reduces to one letter: stars and bars with no bar, one composition (n,) at every n
+    ch = bsc(0.5, constraint=1.0)
+    assert reduce_channel(ch)[0].input_size == 1
+    for n in range(1, 8):
+        count, bound = converse_count(ch, n)
+        assert count == 1 and bound == pytest.approx(math.log2(n + 1))
+
+
+def test_converse_count_four_letters_brute_force():
+    mat = np.array([[0.7, 0.1, 0.1, 0.1], [0.1, 0.7, 0.1, 0.1], [0.1, 0.1, 0.7, 0.1], [0.1, 0.1, 0.1, 0.7]])
+    cost = (1.0, 0.0, 2.0, 0.5)
+    ch = Dmc(matrix=mat, cost=cost, constraint=0.55)
+    for n in (1, 4, 5, 6):
+        count, bound = converse_count(ch, n)
+        brute = sum(1 for w in itertools.product(range(4), repeat=n) if sum(cost[x] for x in w) <= n * 0.55 + 1e-9)
+        assert count == brute and math.log2(count) <= bound
+    assert count < 4**6
 
 
 def test_converse_count_budget_refusal():

@@ -99,6 +99,18 @@ def test_reduction_is_idempotent():
         assert red2.input_size == red1.input_size
         assert list(rmap2.class_of) == list(range(red1.input_size))
         np.testing.assert_array_equal(red1.matrix, red2.matrix)
+        # A reduced channel's notes are its own constructor's, so none repeats. Only the
+        # first reduction can clamp (dropping a costly duplicate); the second keeps the rest.
+        assert len(set(red1.notes)) == len(red1.notes)
+        assert red2.notes == tuple(note for note in red1.notes if "clamped" not in note)
+        assert reduce_channel(red2)[0].notes == red2.notes
+    # A reduction records its own notes once, not the caller's and then its own
+    # again: here no clamp (the reduced costs reach 3.0) and one no-zero-cost note.
+    ch = Dmc(matrix=np.array([[0.9, 0.1], [0.9, 0.1], [0.2, 0.8]]), cost=[1.0, 2.0, 3.0], constraint=5.0)
+    assert len(ch.notes) == 2 and sum("no zero-cost letter" in note for note in ch.notes) == 1
+    red1, _ = reduce_channel(ch)
+    red2, _ = reduce_channel(red1)
+    assert red1.notes == red2.notes == ("no zero-cost letter; cheapest letter costs 1.0",)
 
 
 def test_reduction_keeps_distinct_channel_unchanged():

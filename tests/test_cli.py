@@ -361,10 +361,13 @@ def test_reduce_merges_duplicate_rows(tmp_path, capsys):
 
 
 def test_budget_refusal_exit_code(capsys):
-    code = main(["codebook-dmc", "--bsc", "0.1", "--n", "100", "--rate", "0.5",
-                 "--epsilon", "0.0", "--delta", "0.05", "--seed", "1", "--backoff", "0.0"])
-    assert code == EXIT_BUDGET
-    assert "budget" in capsys.readouterr().err
+    # 2^50 and 2^24 words, over the 2^20 word budget, which is checked before the memory budget
+    for n, rate in (("100", "0.5"), ("40", "0.6")):
+        code = main(["codebook-dmc", "--bsc", "0.1", "--n", n, "--rate", rate,
+                     "--epsilon", "0.0", "--delta", "0.05", "--seed", "1", "--backoff", "0.0"])
+        assert code == EXIT_BUDGET
+        captured = capsys.readouterr()
+        assert captured.out == "" and "word budget" in captured.err
 
 
 def test_memory_budget_refusal_exit_code(capsys, monkeypatch):
@@ -470,6 +473,12 @@ GOLDEN_CLI = {
     "capacity": ("4874d81e975643cdeb0bc8527fd96667d6957978e5651e7539b75a9c027a51ed", None),
     "simulate-dmc": ("50885e2e15ef19882dabb09442edef1f25d76286f8b3cebaedeb7353dc530134", None),
     "simulate-gauss": ("ca6f771ab33ab6dfa7b5fc0bae6f85007a46640ab05b4056fe20ba89203f04ec", None),
+    # the four --output commands run without it, recorded before the --output rule moved into
+    # cli._emit: the codebooks and the reduced channel go inline, discretize writes no channel
+    "codebook-dmc-inline": ("ea0719aaa06e808712570e177c22fb30e2b2bc6d7aadc90b00101a942423aa14", None),
+    "discretize-inline": ("b49e2e9c73d01ee8df7459260f35967d353bd984b11472deb8dde4bdbda96a74", None),
+    "codebook-gauss-inline": ("6ea347b57c123281d149fc46d4dfc6d41060320ce6a3f9ca8abcedf42f859169", None),
+    "reduce-inline": ("bebf57db673602378d409e44cf772fd48fc9a03f2f4d451ad5126746c3df0008", None),
 }
 
 # Run in this order, in one directory: later commands read earlier outputs.
@@ -492,6 +501,8 @@ GOLDEN_CLI_ARGV = {
     "simulate-gauss": (["simulate-gauss", "--codebook", "gauss.json", "--trials", "50",
                         "--seed", "2", "--pair-budget", "2"], None),
 }
+GOLDEN_CLI_ARGV.update({f"{name}-inline": (GOLDEN_CLI_ARGV[name][0][:-2], None)
+                        for name in ("codebook-dmc", "discretize", "codebook-gauss", "reduce")})
 
 
 def test_cli_files_and_envelopes_replay_byte_for_byte(tmp_path, monkeypatch, capsys):

@@ -43,7 +43,7 @@ from di_codes import (
     validate_codebook,
 )
 import di_codes
-from di_codes import dmc_code, stats, typicality
+from di_codes import acceptance, dmc_code, stats, typicality
 from di_codes.dmc_code import drop_close_pairs, greedy_select, select_pairs
 from di_codes.typicality import empirical_type, hamming_distance
 
@@ -175,6 +175,37 @@ def test_greedy_keeps_scan_order_winner():
 # --- construction ---
 
 
+def _faithful_yield(channel, n, rate, epsilon, seeds):
+    """Exact E[kept] of faithful builds, and the mean and SD of the kept counts over ``seeds``.
+
+    Words are i.i.d. uniform on the type class T, and a word is kept iff no other
+    sample lies at distance < d from it, so E[kept] = M (1 - V/|T|)^(M - 1), where
+    V = sum over 2k < d of C(n0, k) C(n1, k) counts the binary words of T at distance
+    < d from a given one, itself included. Also returns (|T|, V, d, M).
+    """
+    kept = []
+    for seed in seeds:
+        _, report = build_codebook(channel, n=n, rate=rate, epsilon=epsilon, delta=0.03, seed=seed, backoff=0.0)
+        kept.append(report.kept_words)
+    (n0, n1), d, m = report.base_counts, report.separation, report.requested_words
+    size = math.comb(n, n0)
+    close = sum(math.comb(n0, k) * math.comb(n1, k) for k in range(n0 + 1) if 2 * k < d)
+    return m * (1 - close / size) ** (m - 1), (size, close, d, m), float(np.mean(kept)), float(np.std(kept, ddof=1))
+
+
+@pytest.mark.parametrize("channel, n, rate, epsilon, seeds, exact, sizes", [
+    # the construction-yield check's fixture: only exact duplicates are dropped
+    (bsc(0.1, constraint=0.013), 200, 0.5 * di_capacity(bsc(0.1, constraint=0.013)).value_bits, 0.01,
+     range(acceptance._SEED + 4000, acceptance._SEED + 4100), 977.19, (19900, 1, 2, 1029)),
+    # base type (20, 20) at separation 10: words within distance 8 go too
+    (bsc(0.1), 40, 13 / 40, 0.25, range(10), 1875.32, (137846528820, 24810126, 10, 8192)),
+])
+def test_faithful_yield_matches_its_exact_mean(channel, n, rate, epsilon, seeds, exact, sizes):
+    expected, got_sizes, mean, sd = _faithful_yield(channel, n, rate, epsilon, seeds)
+    assert got_sizes == sizes and expected == pytest.approx(exact, abs=0.005)
+    assert abs(mean - expected) <= 4 * sd / math.sqrt(len(seeds))
+
+
 def test_build_is_deterministic_and_valid():
     ch = bsc(0.1, constraint=0.4)
     cb1, rep1 = build_codebook(ch, n=80, rate=0.05, epsilon=0.05, delta=0.05, seed=3, backoff=0.2)
@@ -209,10 +240,16 @@ def test_rate_precondition_enforced():
         build_codebook(ch, n=50, rate=0.9, epsilon=0.05, delta=0.05, seed=1)
 
 
-def test_word_budget_refusal():
-    ch = bsc(0.1, constraint=1.0)
-    with pytest.raises(BudgetError):
-        build_codebook(ch, n=100, rate=0.5, epsilon=0.0, delta=0.05, seed=1, backoff=0.0)
+def test_word_budget_refusal(monkeypatch):
+    # 2^50 and 2^24 words, over the default 2^20, refused before any word is drawn
+    # (their int64 arrays would trip the memory budget too, but the word budget is checked first).
+    def no_sampling(*args):
+        raise AssertionError("sampled before the budget check")
+
+    monkeypatch.setattr(dmc_code, "sample_type_class", no_sampling)
+    for n, rate, log2_m in ((100, 0.5, "50.00"), (40, 0.6, "24.00")):
+        with pytest.raises(BudgetError, match=rf"word budget 1048576 exceeded: .* needs 2\^{log2_m} words"):
+            build_codebook(bsc(0.1), n=n, rate=rate, epsilon=0.0, delta=0.05, seed=1, backoff=0.0)
 
 
 def test_faithful_build_stays_within_its_memory_estimate(monkeypatch):
