@@ -92,9 +92,18 @@ class CheckResult:
         return self.runtime_seconds < self.runtime_limit_seconds
 
     @property
+    def status(self) -> str:
+        """The verdict: "PASS", "FAIL (expected)", "FAIL (too slow)" (over the limit, whatever the evidence) or "FAIL"."""
+        if not self.within_limit:
+            return "FAIL (too slow)"
+        if self.passed:
+            return "PASS"
+        return "FAIL (expected)" if self.expected_failure else "FAIL"
+
+    @property
     def unexpected_failure(self) -> bool:
         """Over the limit, or failed without being a documented expected failure."""
-        return not self.within_limit or not (self.passed or self.expected_failure)
+        return self.status in ("FAIL (too slow)", "FAIL")
 
     def to_dict(self) -> dict:
         return {
@@ -110,15 +119,7 @@ class CheckResult:
 
 
 def format_line(result: CheckResult) -> str:
-    if not result.within_limit:
-        status = "FAIL (too slow)"
-    elif result.passed:
-        status = "PASS"
-    elif result.expected_failure:
-        status = "FAIL (expected)"
-    else:
-        status = "FAIL"
-    line = f"{status:15s} {result.name}  [{result.runtime_seconds:.2f}s / limit {result.runtime_limit_seconds:.0f}s]"
+    line = f"{result.status:15s} {result.name}  [{result.runtime_seconds:.2f}s / limit {result.runtime_limit_seconds:.0f}s]"
     if result.note:
         line += f"  {result.note}"
     return line
@@ -435,60 +436,34 @@ def check_determinism_replay():
     channel = bsc(0.1, constraint=1.0)
     gchannel = GaussChannel(sigma2=1.0, power=2.0)
     mismatches = []
-    kept = {}  # the codebooks of the last replayed builds, for the simulations
 
-    def canon(obj) -> str:
-        return json.dumps(obj, sort_keys=True)
-
-    def twice(label: str, fn: Callable[[], object]):
-        a, b = canon(fn()), canon(fn())
-        if a != b:
+    def replayed(label: str, run: Callable[[], object], record: Callable[[object], object] = lambda out: out):
+        """``run()``'s second output; ``label`` is a mismatch unless both runs' records agree in canonical JSON."""
+        first, second = run(), run()
+        if json.dumps(record(first), sort_keys=True) != json.dumps(record(second), sort_keys=True):
             mismatches.append(label)
+        return second
 
-    twice(
-        "transmit",
-        lambda: transmit_dmc(
-            channel, np.zeros(32, dtype=np.int64),
-            np.random.default_rng(np.random.SeedSequence(_SEED + 11)),
-        ).tolist(),
-    )
-
-    def built():
-        kept["cb"], rep = build_codebook(
-            channel, n=60, rate=0.08, epsilon=0.05, delta=0.05,
-            seed=_SEED + 12, backoff=0.0,
-        )
-        return [codebook_to_dict(kept["cb"]), rep.to_dict()]
-
-    twice("build-codebook", built)
-    cb = kept["cb"]
-    twice(
-        "simulate-dmc",
-        lambda: simulate_errors(
-            cb, trials=400, seed=_SEED + 13, pair_budget=4, message_budget=3
-        ).to_dict(),
-    )
+    replayed("transmit", lambda: transmit_dmc(
+        channel, np.zeros(32, dtype=np.int64),
+        np.random.default_rng(np.random.SeedSequence(_SEED + 11)),
+    ).tolist())
+    cb, _ = replayed("build-codebook", lambda: build_codebook(
+        channel, n=60, rate=0.08, epsilon=0.05, delta=0.05,
+        seed=_SEED + 12, backoff=0.0,
+    ), lambda built: [codebook_to_dict(built[0]), built[1].to_dict()])
+    replayed("simulate-dmc", lambda: simulate_errors(
+        cb, trials=400, seed=_SEED + 13, pair_budget=4, message_budget=3
+    ).to_dict())
     dup = _duplicate_first(cb)
-    twice(
-        "duplicate-conflict",
-        lambda: same_codeword_conflict(dup, 0, 1, trials=400, seed=_SEED + 14),
-    )
-
-    def gauss_built():
-        kept["gcb"], cert = build_gauss_codebook(
-            gchannel, n=8, epsilon=0.05, delta=0.1, seed=_SEED + 15,
-            probe_budget=10**4, max_centers=64, probe_trials=512,
-        )
-        return [gauss_codebook_to_dict(kept["gcb"]), cert.to_dict()]
-
-    twice("build-gauss", gauss_built)
-    gcb = kept["gcb"]
-    twice(
-        "simulate-gauss",
-        lambda: simulate_gauss_errors(
-            gcb, trials=400, seed=_SEED + 16, pair_budget=4, message_budget=4
-        ).to_dict(),
-    )
+    replayed("duplicate-conflict", lambda: same_codeword_conflict(dup, 0, 1, trials=400, seed=_SEED + 14))
+    gcb, _ = replayed("build-gauss", lambda: build_gauss_codebook(
+        gchannel, n=8, epsilon=0.05, delta=0.1, seed=_SEED + 15,
+        probe_budget=10**4, max_centers=64, probe_trials=512,
+    ), lambda built: [gauss_codebook_to_dict(built[0]), built[1].to_dict()])
+    replayed("simulate-gauss", lambda: simulate_gauss_errors(
+        gcb, trials=400, seed=_SEED + 16, pair_budget=4, message_budget=4
+    ).to_dict())
 
     passed = not mismatches
     note = (

@@ -221,6 +221,8 @@ def same_type_pair(et: EmpiricalType, distance: int) -> tuple[np.ndarray, np.nda
     (every change must be paired with its reverse), so odd targets require at
     least three populated letters, where a 3-cycle supplies the odd part.
     """
+    if distance < 0:
+        raise ValueError("distance must be nonnegative")
     x1 = canonical_word(et)
     x2 = x1.copy()
     populated = [a for a, c in enumerate(et.counts) if c > 0]

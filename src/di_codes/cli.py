@@ -45,7 +45,7 @@ from .dmc_code import (
     simulate_errors,
     validate_codebook,
 )
-from .errors import BudgetError, DiCodesError
+from .errors import BudgetError, DiCodesError, _refuse_over_budget
 from .gauss_code import (
     DEFAULT_PROBE_BUDGET,
     DEFAULT_PROBE_TRIALS,
@@ -208,6 +208,8 @@ def _cmd_reduce(parser: _Parser, args: argparse.Namespace) -> int:
 def _cmd_sweep_bsc(parser: _Parser, args: argparse.Namespace) -> int:
     if args.points < 2:
         parser.error("--points must be at least 2")
+    # The grid, the curve's tuples and the CSV lines peak at 268 bytes a point (RSS at 2 000 000 points), rounded up.
+    _refuse_over_budget(320 * args.points, f"a sweep of {args.points} points")
     grid = np.linspace(args.start, args.stop, args.points)
     curve = bsc_capacity_curve(args.crossover, grid)
     lines = ["constraint,capacity_bits"]
@@ -323,10 +325,9 @@ def _cmd_verify(parser: _Parser, args: argparse.Namespace) -> int:
     else:
         for r in results:
             print(format_line(r))
-        expected = sum(1 for r in results if not r.passed and not r.unexpected_failure)
-        passed = sum(r.passed and r.within_limit for r in results)
-        summary = f"{passed}/{len(results)} checks passed"
-        for count, kind in ((expected, "expected"), (len(unexpected), "UNEXPECTED")):
+        statuses = [r.status for r in results]
+        summary = f"{statuses.count('PASS')}/{len(results)} checks passed"
+        for count, kind in ((statuses.count("FAIL (expected)"), "expected"), (len(unexpected), "UNEXPECTED")):
             if count:
                 summary += f", {count} {kind} failure{'s' if count > 1 else ''}"
         print(summary)

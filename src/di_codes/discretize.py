@@ -31,7 +31,7 @@ import numpy as np
 
 from .capacity import entropy_bits
 from .channels import Dmc
-from .errors import _MAX_BUILD_BYTES, BudgetError
+from .errors import _MAX_BUILD_BYTES, BudgetError, _refuse_over_budget
 
 # Two rows closer than this (sup norm) are flagged as indistinguishable.
 ROW_DISTINCT_TOL = 1e-9
@@ -87,25 +87,23 @@ def _cell_edges(step: float, j: int) -> np.ndarray:
     return np.concatenate(([-np.inf], grid[:j], grid[j + 1:], [np.inf]))
 
 
-def _cell_probabilities(mean: float, sd: float, step: float, j: int) -> np.ndarray:
-    """Masses of all 2J+1 cells under N(mean, sd^2), by telescoping cdf differences.
+def _cell_probabilities(means: np.ndarray, sd: float, step: float, j: int) -> np.ndarray:
+    """Masses of all 2J+1 cells under N(mean, sd^2), one row per mean, by telescoping cdf differences.
 
-    The analytic total is exactly 1; leftover float dust (well below 1e-12)
-    is folded into the largest cell so downstream row-stochasticity checks
-    never trip on summation noise.
+    The analytic total of a row is exactly 1; its leftover float dust (well
+    below 1e-12) is folded into the row's largest cell so downstream
+    row-stochasticity checks never trip on summation noise.
     """
     from scipy.special import ndtr  # loads at the first discretization, not at import
-    edges = _cell_edges(step, j)
-    cdf = ndtr((edges - mean) / sd)
-    p = np.diff(cdf)
-    p[np.argmax(p)] += 1.0 - float(p.sum())
+    p = np.diff(ndtr((_cell_edges(step, j) - np.reshape(means, (-1, 1))) / sd), axis=1)
+    p[np.arange(len(p)), p.argmax(axis=1)] += 1.0 - p.sum(axis=1)
     return p
 
 
 def input_pmf(power: float, step: float, j: int) -> np.ndarray:
     """pmf of the quantized input discretize(X) for X ~ N(0, power)."""
     _positive(power=power, step=step)
-    return _cell_probabilities(0.0, math.sqrt(power), step, _half_width(j))
+    return _cell_probabilities(np.zeros(1), math.sqrt(power), step, _half_width(j))[0]
 
 
 def discretized_entropy(power: float, step: float, j: int) -> float:
@@ -179,13 +177,10 @@ def to_dmc(
     if output_j < input_j:
         raise ValueError("output lattice must be at least as wide as the input lattice")
     need = 32 * (2 * input_j + 1) * (2 * output_j + 1)  # four float64 copies of the matrix at the peak
-    if need > _MAX_BUILD_BYTES:
-        raise BudgetError(f"memory budget of {_MAX_BUILD_BYTES} bytes exceeded: a {Decimal(2 * input_j + 1):.4g} "
-                          f"x {Decimal(2 * output_j + 1):.4g} channel can take {Decimal(need):.4g} bytes")
+    _refuse_over_budget(need, f"a {Decimal(2 * input_j + 1):.4g} x {Decimal(2 * output_j + 1):.4g} channel")
     inp = lattice(step, input_j)
     out = lattice(step, output_j)
-    sd = math.sqrt(sigma2)
-    rows = np.stack([_cell_probabilities(float(x), sd, step, output_j) for x in inp])
+    rows = _cell_probabilities(inp, math.sqrt(sigma2), step, output_j)
 
     k = inp.size
     if k <= pair_check_limit:

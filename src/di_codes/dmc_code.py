@@ -28,7 +28,7 @@ import numpy as np
 
 from .capacity import entropy_bits, max_entropy_pmf
 from .channels import Dmc, _budget, _transmit_rows, dmc_from_dict, dmc_to_dict, input_cost, reduce_channel
-from .errors import _MAX_BUILD_BYTES, BudgetError, ConstructionError
+from .errors import BudgetError, ConstructionError, _refuse_over_budget
 from .stats import DEFAULT_PAIR_BUDGET, SimReport, _chunk_rows, _closest_first_pairs, _in_chunks, _simulate
 from .typicality import (
     _TIE_GUARD,
@@ -164,7 +164,7 @@ def construction_base_type(channel: Dmc, n: int, cost_margin: float = 0.0) -> Em
     return EmpiricalType(tuple(int(c) for c in counts), n)
 
 
-def _scan(words: np.ndarray, separation: int, letters: np.ndarray, greedy: bool) -> tuple[np.ndarray, _Closest]:
+def _scan(words: np.ndarray, separation: int, alphabet_size: int, greedy: bool) -> tuple[np.ndarray, _Closest]:
     """(keep, closest) of one upper-triangle Hamming scan, bounded in memory at any size.
 
     Row block s holds the float32 distances from words[s:s + rows] to words[s:]
@@ -181,7 +181,7 @@ def _scan(words: np.ndarray, separation: int, letters: np.ndarray, greedy: bool)
     for s in range(0, m, rows):
         tail = words[s:]
         square = rows >= len(tail)  # the whole tail: symmetric, and one encoded table serves both sides
-        dist = _hamming_blocks(tail if square else tail[:rows], tail, letters)
+        dist = _hamming_blocks(tail if square else tail[:rows], tail, alphabet_size)
         np.fill_diagonal(dist, np.inf)
         if greedy:  # each kept word lowers the words after it as it is kept
             for i in range(s, s + len(dist)):
@@ -221,13 +221,13 @@ def drop_close_pairs(words: np.ndarray, separation: int, alphabet_size: int) -> 
     survives iff no other sampled word lies strictly inside its separation
     radius. Symmetric, order-independent, idempotent.
     """
-    return _scan(_as_word(words, alphabet_size, "words", 2), separation, np.arange(alphabet_size), False)
+    return _scan(_as_word(words, alphabet_size, "words", 2), separation, alphabet_size, False)
 
 
 def greedy_select(words: np.ndarray, separation: int, alphabet_size: int) -> tuple[np.ndarray, _Closest]:
     """Keep-mask of the prefix-greedy packing: scan order, keep if far from kept;
     and the closest pair of the kept words (see ``_Closest``)."""
-    return _scan(_as_word(words, alphabet_size, "words", 2), separation, np.arange(alphabet_size), True)
+    return _scan(_as_word(words, alphabet_size, "words", 2), separation, alphabet_size, True)
 
 
 def build_codebook(
@@ -287,12 +287,7 @@ def build_codebook(
             f"word budget {max_words} exceeded: floor(2^(n*rate)) needs 2^{log2_m:.2f} words"
         )
     requested = max(1, int(math.floor(2.0**log2_m + _TIE_GUARD)))
-    need = 32 * requested * n + _SCAN_BYTES
-    if need > _MAX_BUILD_BYTES:
-        raise BudgetError(
-            f"memory budget of {_MAX_BUILD_BYTES} bytes exceeded: "
-            f"{requested} words of length {n} need up to {need} bytes"
-        )
+    _refuse_over_budget(32 * requested * n + _SCAN_BYTES, f"{requested} words of length {n}")
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     sampled = sample_type_class(base_reduced, requested, rng)

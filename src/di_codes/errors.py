@@ -6,6 +6,8 @@ to branch on: exhausted enumeration/size budgets, infeasible cost constraints,
 degenerate typical sets, and failed constructions.
 """
 
+from decimal import Decimal
+
 
 class DiCodesError(Exception):
     """Base class for package-specific errors."""
@@ -18,9 +20,15 @@ class BudgetError(DiCodesError):
     """
 
 
-# Builds (DMC codebooks, Gaussian packings, discretized channels) are refused
-# before they allocate when their peak could pass this many bytes.
+# Builds (DMC codebooks, Gaussian packings, discretized channels) and sweeps
+# are refused before they allocate when their peak could pass this many bytes.
 _MAX_BUILD_BYTES = 2**32
+
+
+def _refuse_over_budget(need: int | float, what: str) -> None:
+    """BudgetError when ``need``, the bytes ``what`` can take at its peak, passes _MAX_BUILD_BYTES."""
+    if need > _MAX_BUILD_BYTES:  # Decimal formats integers past the float range too
+        raise BudgetError(f"memory budget of {_MAX_BUILD_BYTES} bytes exceeded: {what} can take {Decimal(need):.4g} bytes")
 
 
 class InfeasibleConstraintError(DiCodesError, ValueError):

@@ -47,7 +47,7 @@ import numpy as np
 
 from ._threads import worker_count
 from .channels import GaussChannel, _budget, gauss_from_dict, gauss_to_dict
-from .errors import _MAX_BUILD_BYTES, BudgetError
+from .errors import _refuse_over_budget
 from .stats import DEFAULT_PAIR_BUDGET, SimReport, _closest_first_pairs, _simulate
 from .typicality import TypicalityParams
 
@@ -281,9 +281,7 @@ def build_gauss_codebook(
     # up to 40 bytes (tracemalloc: 32.1 at n = 8 just past a doubling, 65 537 centers).
     bound = packing_lower_bound(channel.power, epsilon, n)
     fewest = min(max_centers or math.inf, bound)
-    if 40 * fewest * n > _MAX_BUILD_BYTES:
-        raise BudgetError(f"memory budget of {_MAX_BUILD_BYTES} bytes exceeded: "
-                          f"{fewest:.4g} centers of length {n} can take {40 * fewest * n:.4g} bytes")
+    _refuse_over_budget(40 * fewest * n, f"{fewest:.4g} centers of length {n}")
     min_d = 2.0 * r0
     min_d2 = min_d * min_d
 

@@ -258,27 +258,27 @@ def _distance_dtype(n: int) -> type:
     return np.float32 if n < _EXACT_FLOAT32 else np.float64
 
 
-def _encode(words: np.ndarray, letters: np.ndarray) -> np.ndarray:
+def _encode(words: np.ndarray, alphabet_size: int) -> np.ndarray:
     """float32 columns whose products count agreements; see ``pairwise_hamming``."""
     m, n = words.shape
-    if len(letters) == 2:
-        return np.where(words == letters[0], np.float32(1), np.float32(-1))
-    return (words[:, :, None] == letters).reshape(m, n * len(letters)).astype(np.float32)
+    if alphabet_size == 2:
+        return np.where(words == 0, np.float32(1), np.float32(-1))
+    return (words[:, :, None] == np.arange(alphabet_size)).reshape(m, n * alphabet_size).astype(np.float32)
 
 
-def _hamming_blocks(a: np.ndarray, b: np.ndarray, letters: np.ndarray) -> np.ndarray:
-    """Hamming distances from every row of ``a`` to every row of ``b``, all letters in ``letters``,
+def _hamming_blocks(a: np.ndarray, b: np.ndarray, alphabet_size: int) -> np.ndarray:
+    """Hamming distances from every row of ``a`` to every row of ``b``, all letters in 0..alphabet_size-1,
     in the first product's float32 buffer (float64 from n = 2**24 on); see ``pairwise_hamming``."""
     n = a.shape[1]
-    width = 1 if len(letters) == 2 else len(letters)  # columns a position
+    width = 1 if alphabet_size == 2 else alphabet_size  # columns a position
     cols = max(1, min(n, _EXACT_FLOAT32 - 1, _ONE_HOT_BYTES // (4 * max(1, width * len(a), width * len(b)))))
     dist = None
     for start in range(0, max(n, 1), cols):  # one empty block when n = 0
-        ha = _encode(a[:, start:start + cols], letters)
-        hb = ha if b is a else _encode(b[:, start:start + cols], letters)
+        ha = _encode(a[:, start:start + cols], alphabet_size)
+        hb = ha if b is a else _encode(b[:, start:start + cols], alphabet_size)
         block = ha @ hb.T
         np.subtract(min(cols, n - start), block, out=block)  # c positions minus the agreements, or minus S
-        if len(letters) == 2:
+        if alphabet_size == 2:
             block *= 0.5  # (c - S) / 2
         dist = block.astype(_distance_dtype(n), copy=False) if dist is None else np.add(dist, block, out=dist)
     return dist
@@ -300,7 +300,7 @@ def pairwise_hamming(words: np.ndarray, alphabet_size: int) -> np.ndarray:
     product per further block, and encoded blocks of about ``_ONE_HOT_BYTES``.
     """
     w = _as_word(words, alphabet_size, "words", 2)
-    return _hamming_blocks(w, w, np.arange(alphabet_size)).astype(np.int64)
+    return _hamming_blocks(w, w, alphabet_size).astype(np.int64)
 
 
 def _joint_counts(word: np.ndarray, outputs: np.ndarray, input_size: int, output_size: int) -> np.ndarray:

@@ -7,6 +7,7 @@ to hold as stated and is kept as a strict expected failure rather than
 weakened; the fitted decay rate behind the same data is asserted for real.
 """
 
+import numpy as np
 import pytest
 
 from di_codes import CheckResult, acceptance, bsc, estimate_L, format_line, run_checks
@@ -188,6 +189,30 @@ def test_discretized_entropy_approaches_differential_limit(entropy_limit_check):
 def test_reported_results_replay_bit_identically(replay_check):
     _assert_clean_pass(replay_check)
     assert replay_check.details["mismatches"] == []
+
+
+def test_replay_check_fails_an_operation_that_does_not_replay(monkeypatch):
+    # transmit draws from one generator shared by both runs, so its second run
+    # continues the first one's stream instead of replaying it.
+    transmit, shared = acceptance.transmit_dmc, np.random.default_rng(1)
+    monkeypatch.setattr(acceptance, "transmit_dmc", lambda channel, word, rng: transmit(channel, word, shared))
+    res = acceptance.check_determinism_replay()
+    assert res.details["mismatches"] == ["transmit"] and not res.passed
+    assert res.note == "mismatches: transmit"
+
+
+@pytest.mark.parametrize("passed, expected_failure, runtime, status, unexpected", [
+    (True, False, 0.5, "PASS", False),
+    (False, True, 0.5, "FAIL (expected)", False),
+    (True, False, 1.0, "FAIL (too slow)", True),  # at the limit is over it, whatever the evidence
+    (False, True, 2.0, "FAIL (too slow)", True),
+    (False, False, 0.5, "FAIL", True),
+])
+def test_check_status_is_the_one_verdict(passed, expected_failure, runtime, status, unexpected):
+    res = CheckResult(name="stub", passed=passed, runtime_seconds=runtime, runtime_limit_seconds=1.0,
+                      expected_failure=expected_failure)
+    assert res.status == status and res.unexpected_failure is unexpected
+    assert format_line(res) == f"{status:15s} stub  [{runtime:.2f}s / limit 1s]"
 
 
 def test_check_registry_is_pinned(request):

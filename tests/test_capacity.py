@@ -313,6 +313,13 @@ def test_same_type_pair_properties(n, distance):
     assert hamming_distance(x1, x2) == distance
 
 
+def test_same_type_pair_refuses_a_negative_distance():
+    # Unchecked, -1 and -3 gave words at distance 3 and -2 identical words.
+    for distance in (-1, -2, -3):
+        with pytest.raises(ValueError, match="distance must be nonnegative"):
+            same_type_pair(balanced_type(9, 3), distance)
+
+
 def test_min_same_type_distance_parity():
     # binary types cannot realize odd separations; ternary can
     assert min_same_type_distance(balanced_type(10, 2), 3) == 4

@@ -289,6 +289,8 @@ def test_discretize_refuses_non_finite_or_non_positive_input(name, bad):
     # 4 sqrt(sigma2) / step is 4e300 output cells, then inf for the two denormal steps
     *((["discretize", "--sigma2", "1", "--power", "1", "--step", step, "--input-j", "1"],
        (discretize, "_cell_probabilities")) for step in ("1e-300", "1e-310", "5e-324")),
+    # 10^8 points: about 27 GB for the grid, the curve and the CSV lines
+    (["sweep-bsc", "--crossover", "0.1", "--points", "100000000"], (np, "linspace")),
 ])
 def test_builds_that_cannot_fit_are_refused_before_they_start(argv, stage, monkeypatch):
     def no_work(*args, **kwargs):
@@ -334,14 +336,14 @@ def test_discretize_payload_and_channel_output(tmp_path, capsys):
 
 
 def test_discretize_computes_the_input_pmf_once(monkeypatch, capsys):
-    # 17 channel rows, and the N(0, power) masses on the input lattice once:
-    # the entropy and its defect read them from the discretized channel.
+    # One table for the 17 channel rows, and the N(0, power) masses on the input
+    # lattice once: the entropy and its defect read them from the discretized channel.
     calls = []
     cells = discretize._cell_probabilities
     monkeypatch.setattr(discretize, "_cell_probabilities", lambda *a: calls.append(a) or cells(*a))
     code, env = run_json(capsys, ["discretize", "--sigma2", "1", "--power", "1", "--step", "0.25", "--input-j", "8"])
     assert code == EXIT_OK and env["payload"]["input_size"] == 17
-    assert len(calls) == 18
+    assert len(calls) == 2
 
 
 def test_reduce_merges_duplicate_rows(tmp_path, capsys):
@@ -448,6 +450,24 @@ def test_verify_fails_a_check_over_its_runtime_limit(capsys, monkeypatch):
     assert code == EXIT_FAILURE
     assert env["payload"]["unexpected_failures"] == ["stub-slow"]
     assert env["payload"]["results"][0]["within_limit"] is False
+
+
+def test_verify_summary_counts_each_verdict(capsys, monkeypatch):
+    from di_codes import acceptance
+
+    stubs = [  # (name, passed, expected_failure, runtime_seconds) at a 1 s limit
+        ("stub-pass", True, False, 0.5), ("stub-pass-too", True, True, 0.5), ("stub-expected", False, True, 0.5),
+        ("stub-slow", True, False, 1.0), ("stub-fail", False, False, 0.5),
+    ]
+    for name, passed, expected, runtime in stubs:
+        res = acceptance.CheckResult(name=name, passed=passed, runtime_seconds=runtime, runtime_limit_seconds=1.0,
+                                     expected_failure=expected)
+        monkeypatch.setitem(acceptance.CHECKS, name, lambda res=res: res)
+    code = main(["verify", *(f"--check={stub[0]}" for stub in stubs)])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == EXIT_FAILURE
+    assert [line[:15].rstrip() for line in lines[:-1]] == ["PASS", "PASS", "FAIL (expected)", "FAIL (too slow)", "FAIL"]
+    assert lines[-1] == "2/5 checks passed, 1 expected failure, 2 UNEXPECTED failures"
 
 
 def test_verify_rejects_unknown_check():

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import ndtr
 from scipy.stats import norm
 
 from di_codes import (
@@ -104,7 +107,7 @@ def test_half_width_takes_numpy_ints_and_integral_floats(j):
 
 def test_cell_probabilities_match_quadrature():
     step, j, mean, sd = 0.4, 5, 0.7, 1.3
-    p = _cell_probabilities(mean, sd, step, j)
+    p = _cell_probabilities([mean], sd, step, j)[0]
     edges = _cell_edges(step, j)
     assert p.size == 2 * j + 1
     for k in range(p.size):
@@ -117,7 +120,7 @@ def test_cell_probabilities_match_quadrature():
 
 def test_cell_probabilities_sum_exactly_one():
     for mean, sd, step, j in [(0.0, 1.0, 0.1, 20), (2.5, 0.3, 0.05, 100), (-1.0, 2.0, 1.0, 3)]:
-        p = _cell_probabilities(mean, sd, step, j)
+        p = _cell_probabilities([mean], sd, step, j)[0]
         assert float(p.sum()) == 1.0
         assert p.min() >= 0.0
 
@@ -176,8 +179,33 @@ def test_to_dmc_shapes_and_cost():
 def test_to_dmc_rows_are_shifted_gaussians():
     dc = to_dmc(sigma2=0.5, power=1.0, step=0.4, input_j=2)
     for idx, x in enumerate(dc.input_support):
-        expected = _cell_probabilities(float(x), math.sqrt(0.5), 0.4, dc.output_j)
+        expected = _cell_probabilities([x], math.sqrt(0.5), 0.4, dc.output_j)[0]
         np.testing.assert_allclose(dc.channel.matrix[idx], expected, atol=0)
+
+
+def _rows_one_mean_at_a_time(means, sd, step, j):
+    """The cell masses computed one mean at a time, each row's dust folded into its own largest cell."""
+    rows = []
+    for mean in means:
+        p = np.diff(ndtr((_cell_edges(step, j) - mean) / sd))
+        p[np.argmax(p)] += 1.0 - float(p.sum())
+        rows.append(p)
+    return np.stack(rows)
+
+
+@given(
+    sigma2=st.sampled_from([0.01, 0.3, 1.0, 2.5, 17.0]) | st.floats(0.01, 20.0),
+    step=st.sampled_from([0.05, 0.1, 0.25, 0.5, 1.0, 1.7]) | st.floats(0.05, 2.0),
+    input_j=st.sampled_from([1, 2, 4, 9, 30, 60]) | st.integers(1, 60),
+    widen=st.sampled_from([None, 0, 1, 5]),
+    power=st.sampled_from([0.3, 1.0, 4.0]),
+)
+def test_to_dmc_equals_the_table_built_one_row_at_a_time(sigma2, step, input_j, widen, power):
+    # One cdf table over all means must give every row, dust included, bit for bit.
+    dc = to_dmc(sigma2, power, step, input_j, None if widen is None else input_j + widen)
+    expected = _rows_one_mean_at_a_time(dc.input_support, math.sqrt(sigma2), step, dc.output_j)
+    assert np.array_equal(dc.channel.matrix, expected)
+    assert np.array_equal(dc.input_probabilities, _rows_one_mean_at_a_time([0.0], math.sqrt(power), step, input_j)[0])
 
 
 def test_quantized_input_power_within_budget():
